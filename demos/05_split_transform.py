@@ -1,8 +1,9 @@
 """Extract-method: split a function and prove behavior is preserved.
 
-``extract_split`` cuts a function body at statement k: the head keeps
-s1..sk and returns a call to a new ``<name>_tail`` function holding the
-rest.  Variables the tail reads are threaded through as parameters.  A
+``extract_split`` cuts a function body at the statement whose node id it
+is given, one of ``split_points(tree)``: the head keeps the k statements
+before it and returns a call to a new ``<name>_tail`` function holding
+the rest.  Variables the tail reads are threaded through as parameters.  A
 tree-walking interpreter acts as the oracle: original and split programs
 must produce identical results and call traces on random inputs.
 """
@@ -11,7 +12,7 @@ from refactorlab.metrics import cyclomatic
 from refactorlab.minipy.interp import behavior_fingerprint
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.printer import pretty_print
-from refactorlab.minipy.split import extract_split, live_variables
+from refactorlab.minipy.split import extract_split, live_variables, split_points
 from refactorlab.rng import Rng
 
 SOURCE = """\
@@ -31,15 +32,17 @@ print(tally(6, 1))
 """
 
 tree = parse_source(SOURCE)
-fn = next(tree.functions())
+fn = tree.functions()[0]
 
 # --- where to cut, and what must flow across the cut ----------------------
 
 k = 2  # head keeps the accumulator init and the loop
-print(f"splitting {fn.name!r} after statement {k}; "
+node_id = fn.children[k].id
+assert node_id in split_points(tree)
+print(f"splitting {fn.name!r} at node {node_id}, after statement {k}; "
       f"live variables into the tail: {live_variables(fn, k)}\n")
 
-after = extract_split(tree, fn.name, k)
+after = extract_split(tree, node_id)
 print(pretty_print(after))
 
 # --- complexity falls, behavior does not -----------------------------------

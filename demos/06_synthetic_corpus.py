@@ -37,7 +37,7 @@ print(f"generated {len(units)} programs, deterministic under the seed")
 
 ds = synth_corpus(300, seed=5)
 ds.validate()
-print("provenance:", ds.provenance.to_dict())
+print("provenance:", ds.provenance.to_doc())
 labels = Counter(s.label for s in ds.samples)
 print(f"samples: {len(ds.samples)} "
       f"(refactor {labels[1]}, keep {labels[0]}, "

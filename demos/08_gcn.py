@@ -20,6 +20,7 @@ from refactorlab.gcn import (
 )
 from refactorlab.graph import build_graph
 from refactorlab.minipy.parser import parse_source
+from refactorlab.minipy.split import split_points
 
 SOURCE = """\
 def fold(n):
@@ -35,7 +36,8 @@ def fold(n):
 print(fold(5))
 """
 
-graph = build_graph(parse_source(SOURCE))
+tree = parse_source(SOURCE)
+graph = build_graph(tree)
 
 # --- gradients agree with finite differences --------------------------------
 
@@ -56,8 +58,8 @@ print(f"epoch {len(history.epochs)}: loss {last['train_loss']:.3f}, "
 # --- both heads on an unseen program ------------------------------------------
 
 out = forward(model, graph)
-sug = suggest_split(model, graph)
-print(f"refactor probability {out['graph_prob']:.2f}; "
+sug = suggest_split(model, graph, split_points(tree))
+print(f"refactor probability {out.graph_prob:.2f}; "
       f"suggested split at node #{sug.node_id} (score {sug.score:.2f}, "
       f"eligible={sug.eligible})")
 
@@ -65,4 +67,4 @@ print(f"refactor probability {out['graph_prob']:.2f}; "
 
 clone = gcn_from_doc(gcn_to_doc(model))
 print("checkpoint round trip preserves the forward pass:",
-      forward(clone, graph)["graph_prob"] == out["graph_prob"])
+      forward(clone, graph).graph_prob == out.graph_prob)

@@ -60,7 +60,7 @@ from .errors import (
     SchemaError,
     SplitError,
 )
-from .evalreport import _split_plan, compare, pr_points_to_csv, report_to_csv, report_to_json
+from .evalreport import compare, pr_points_to_csv, report_to_csv, report_to_json
 from .gcn import (
     GcnModel,
     TrainConfig,
@@ -76,7 +76,7 @@ from .metrics import flat_features, metrics_report
 from .minipy.astdoc import emit_ast_doc
 from .minipy.parser import parse_source
 from .minipy.printer import pretty_print
-from .minipy.split import extract_split
+from .minipy.split import extract_split, split_points
 from .rules import analyze_rules, classify_rules
 from .synth import generate_units
 from .viz import function_render_metrics, to_dot, to_html
@@ -193,9 +193,10 @@ def _train_gnn(dataset: Dataset, seed: int, config: TrainConfig) -> GcnModel:
     fitted, history = train(model, dataset, config)
     if history.epochs:
         last = history.epochs[-1]
+        val_acc = "n/a" if last["val_acc"] is None else f"{last['val_acc']:.4f}"
         print(
             f"trained gnn: {len(history.epochs)} epochs, "
-            f"train_acc {last['train_acc']:.4f}, val_acc {last['val_acc']:.4f}",
+            f"train_acc {last['train_acc']:.4f}, val_acc {val_acc}",
             file=sys.stderr,
         )
     return fitted
@@ -417,7 +418,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     model = _load_gcn_checkpoint(args.model)
     tree = _parse_file(args.file)
     graph = build_graph(tree)
-    suggestion = suggest_split(model, graph)
+    suggestion = suggest_split(model, graph, split_points(tree))
     prob = float(predict_graphs(model, [graph])[0])
     if args.format == "json":
         doc = {
@@ -433,11 +434,12 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     if suggestion.node_id is None:
         _emit(f"path: {args.file}\nrefactor probability {prob:.4f}; no eligible split\n", args.out)
     else:
-        plan = _split_plan(tree, suggestion.node_id)
-        where = f" ({plan[0]} at statement {plan[1]})" if plan else ""
+        fn = tree.nodes[tree.enclosing_function(suggestion.node_id)]
+        k = next(i for i, stmt in enumerate(fn.children) if stmt.id == suggestion.node_id)
         _emit(
             f"path: {args.file}\nrefactor probability {prob:.4f}; "
-            f"split at node {suggestion.node_id}{where}, score {suggestion.score:.4f}\n",
+            f"split at node {suggestion.node_id} ({fn.name} at statement {k}), "
+            f"score {suggestion.score:.4f}\n",
             args.out,
         )
     return EXIT_OK
@@ -452,17 +454,15 @@ def _cmd_viz(args: argparse.Namespace) -> int:
     before = build_graph(tree)
     split_node: int | None = args.split
     if split_node is None and args.model:
-        suggestion = suggest_split(_load_gcn_checkpoint(args.model), before)
+        model = _load_gcn_checkpoint(args.model)
+        suggestion = suggest_split(model, before, split_points(tree))
         split_node = suggestion.node_id
         if split_node is None:
             print("model found no eligible split; rendering single panel", file=sys.stderr)
     after = None
     after_metrics = None
     if split_node is not None:
-        plan = _split_plan(tree, split_node)
-        if plan is None:
-            raise DataError(f"node {split_node} is not a legal split point")
-        after_tree = extract_split(tree, plan[0], plan[1])
+        after_tree = extract_split(tree, split_node)
         after = build_graph(after_tree)
         after_metrics = function_render_metrics(after_tree)
     metrics = function_render_metrics(tree)

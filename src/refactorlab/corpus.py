@@ -35,16 +35,15 @@ from .errors import (
     TooSmallError,
 )
 from .graph import CodeGraph, NODE_FEATURE_DIM, build_graph, emit_graph_doc, ingest_graph_doc
-from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, coupling, cyclomatic, flat_features
+from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, flat_features
 from .minipy.nodes import AstNode, AstTree, count_decisions
 from .minipy.parser import parse_source
 from .minipy.source import SourceUnit
-from .minipy.split import extract_split
 from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-MANIFEST_VERSION = "1"
+MANIFEST_VERSION = "2"
 BUNDLE_VERSION = "1"
 
 DEFAULT_TEST_FRACTION = 0.20
@@ -105,25 +104,21 @@ class LabeledSample:
     """One training example: graph + flat features + label.
 
     ``split_node`` is the graph node id of the labeled extraction point
-    (first statement after the qualifying loop).  ``post_metrics`` holds
-    {cyclomatic, coupling} measured after applying that labeled split.
-    ``source`` is kept for samples that came from real text so downstream
-    stages can re-run transforms; synthetic rows carry none.
+    (first statement after the qualifying loop).  ``source`` is kept for
+    samples that came from real text so downstream stages can re-run
+    transforms; synthetic rows carry none.
     """
 
     graph: CodeGraph
     flat: FlatFeatures
     label: int
     split_node: int | None = None
-    post_metrics: dict[str, float] | None = None
     source: str | None = None
     path: str | None = None
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {self.label!r}")
-        if self.post_metrics is not None and self.split_node is None:
-            raise InvariantError("post_metrics requires a split_node")
 
 
 @dataclass
@@ -264,36 +259,17 @@ def structural_label(tree: AstTree) -> tuple[int, int | None]:
     return 0, None
 
 
-def _post_split_metrics(tree: AstTree, split_node: int) -> dict[str, float] | None:
-    """Metrics after applying the labeled split; None when inapplicable."""
-    fn_id = tree.enclosing_function(split_node)
-    if fn_id < 0:
-        return None
-    fn = tree.nodes[fn_id]
-    k = next((i for i, s in enumerate(fn.body()) if s.id == split_node), None)
-    if k is None or k < 1:
-        return None
-    try:
-        after = extract_split(tree, fn.name, k)
-    except Exception:
-        return None
-    max_cc = max((cyclomatic(f) for f in after.functions()), default=0)
-    return {"cyclomatic": float(max_cc), "coupling": float(coupling(after))}
-
-
 def label_unit(unit: SourceUnit) -> LabeledSample:
     """Parse, label, and featurize one unit."""
     tree = parse_source(unit.body)
     label, split_node = structural_label(tree)
     graph = build_graph(tree, source_digest=unit.digest, label=label, split_node=split_node)
     flat = flat_features(tree, graph)
-    post = _post_split_metrics(tree, split_node) if split_node is not None else None
     return LabeledSample(
         graph=graph,
         flat=flat,
         label=label,
         split_node=split_node,
-        post_metrics=post,
         source=unit.body,
         path=unit.path,
     )
@@ -572,8 +548,6 @@ def _sample_to_doc(sample: LabeledSample) -> dict:
     }
     if sample.split_node is not None:
         doc["split_node"] = sample.split_node
-    if sample.post_metrics is not None:
-        doc["post_metrics"] = dict(sample.post_metrics)
     if sample.source is not None:
         doc["source"] = sample.source
     if sample.path is not None:
@@ -581,7 +555,7 @@ def _sample_to_doc(sample: LabeledSample) -> dict:
     return doc
 
 
-_SAMPLE_KEYS = {"graph", "flat", "label", "split_node", "post_metrics", "source", "path"}
+_SAMPLE_KEYS = {"graph", "flat", "label", "split_node", "source", "path"}
 
 
 def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
@@ -600,13 +574,12 @@ def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
     if label not in (0, 1) or isinstance(label, bool):
         raise SchemaError(f"{where}.label must be 0 or 1")
     split_node = doc.get("split_node")
-    if split_node is not None and (not isinstance(split_node, int) or isinstance(split_node, bool)):
-        raise SchemaError(f"{where}.split_node must be an integer")
-    post = doc.get("post_metrics")
-    if post is not None:
-        if not isinstance(post, dict) or set(post) != {"cyclomatic", "coupling"}:
-            raise SchemaError(f"{where}.post_metrics must hold cyclomatic and coupling")
-        post = {k: float(v) for k, v in post.items()}
+    if split_node is not None and (
+        not isinstance(split_node, int)
+        or isinstance(split_node, bool)
+        or not 0 <= split_node < len(graph.nodes)
+    ):
+        raise SchemaError(f"{where}.split_node must be a node id of its graph")
     source = doc.get("source")
     if source is not None and not isinstance(source, str):
         raise SchemaError(f"{where}.source must be a string")
@@ -619,11 +592,10 @@ def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
             flat=FlatFeatures([float(v) for v in flat_raw]),
             label=label,
             split_node=split_node,
-            post_metrics=post,
             source=source,
             path=path,
         )
-    except (DataError, InvariantError) as exc:
+    except DataError as exc:
         raise SchemaError(f"{where}: {exc}") from exc
 
 

@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import Dataset, LabeledSample
+from .corpus import Dataset
 from .dtree import DTreeModel, predict_batch
 from .errors import (
     DimensionMismatchError,
@@ -29,7 +29,7 @@ from .gcn import GcnModel, predict_graphs, suggest_split
 from .metrics import coupling, cyclomatic
 from .minipy.nodes import AstTree
 from .minipy.parser import parse_source
-from .minipy.split import extract_split
+from .minipy.split import extract_split, split_points
 from .rules import classify_rules_graph
 
 REPORT_VERSION = "1"
@@ -194,51 +194,31 @@ class ComparisonReport:
         }
 
 
-def _split_plan(tree: AstTree, node_id: int) -> tuple[str, int] | None:
-    """(function name, split index) for a node id, or None if not legal."""
-    if not 0 <= node_id < len(tree.nodes):
-        return None
-    fn_id = tree.enclosing_function(node_id)
-    if fn_id < 0:
-        return None
-    fn = tree.nodes[fn_id]
-    k = next((i for i, s in enumerate(fn.body()) if s.id == node_id), None)
-    if k is None or k < 1 or fn.name is None:
-        return None
-    return fn.name, k
-
-
 def _drop_stats(
-    samples: list[LabeledSample],
+    trees: dict[int, AstTree],
+    points: dict[int, list[int]],
     preds: np.ndarray,
     split_for: dict[int, int | None],
 ) -> tuple[float | None, float | None, int]:
     """Mean complexity/coupling drops over predicted-refactor samples.
 
-    ``split_for`` maps sample position to the node id to split at (the
-    model's suggestion, or the labeled oracle split).  Samples without
-    source text, without a legal split, or with a zero pre-metric are
-    skipped; None means no sample could be processed at all.
+    ``trees`` and ``points`` hold the parsed source and legal split points
+    of each test sample that has source text, by position.  ``split_for``
+    maps sample position to the node id to split at (the model's
+    suggestion, or the labeled oracle split).  Samples without source
+    text, without a legal split, or with a zero pre-metric are skipped;
+    None means no sample could be processed at all.
     """
     pre_cc: list[float] = []
     post_cc: list[float] = []
     pre_cp: list[float] = []
     post_cp: list[float] = []
     applied = 0
-    for pos, sample in enumerate(samples):
-        if preds[pos] != 1 or sample.source is None:
-            continue
+    for pos, tree in trees.items():
         node_id = split_for.get(pos)
-        if node_id is None:
+        if preds[pos] != 1 or node_id not in points[pos]:
             continue
-        tree = parse_source(sample.source)
-        plan = _split_plan(tree, node_id)
-        if plan is None:
-            continue
-        try:
-            after = extract_split(tree, plan[0], plan[1])
-        except Exception:
-            continue
+        after = extract_split(tree, node_id)
         pre = max((cyclomatic(f) for f in tree.functions()), default=0)
         post = max((cyclomatic(f) for f in after.functions()), default=0)
         pre_cc.append(float(pre))
@@ -273,15 +253,18 @@ def compare(dataset: Dataset, dtree: DTreeModel, gcn: GcnModel) -> ComparisonRep
     gcn_scores = predict_graphs(gcn, [s.graph for s in samples])
     gcn_preds = (gcn_scores >= 0.5).astype(np.int64)
 
+    # splits are replayed on source text; oversampled copies carry none
+    trees = {
+        pos: parse_source(s.source) for pos, s in enumerate(samples) if s.source is not None
+    }
+    points = {pos: split_points(tree) for pos, tree in trees.items()}
     # labeled splits serve as the oracle for models that cannot localize
     oracle_split = {pos: s.split_node for pos, s in enumerate(samples)}
-    gcn_split: dict[int, int | None] = {}
-    for pos, s in enumerate(samples):
-        if gcn_preds[pos] != 1:
-            gcn_split[pos] = None
-            continue
-        suggestion = suggest_split(gcn, s.graph)
-        gcn_split[pos] = suggestion.node_id if suggestion.eligible else None
+    gcn_split = {
+        pos: suggest_split(gcn, samples[pos].graph, points[pos]).node_id
+        for pos in trees
+        if gcn_preds[pos] == 1
+    }
 
     models: dict[str, ModelEval] = {}
     for name, preds, scores, split_for in (
@@ -291,7 +274,7 @@ def compare(dataset: Dataset, dtree: DTreeModel, gcn: GcnModel) -> ComparisonRep
     ):
         conf = confusion(list(preds), labels)
         curve = pr_curve(list(float(v) for v in scores), labels)
-        cc_drop, cp_drop, applied = _drop_stats(samples, preds, split_for)
+        cc_drop, cp_drop, applied = _drop_stats(trees, points, preds, split_for)
         models[name] = ModelEval(
             name=name,
             confusion=conf,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -70,7 +70,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    deterministic: bool = True
     val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
@@ -575,41 +574,14 @@ def predict_graphs(model: GcnModel, graphs: Sequence[CodeGraph]) -> np.ndarray:
 # --- split suggestion --------------------------------------------------------------------
 
 
-def eligible_split_nodes(graph: CodeGraph) -> list[int]:
-    """Node ids that may legally start an extracted tail.
+def suggest_split(
+    model: GcnModel, graph: CodeGraph, candidates: Sequence[int]
+) -> SplitSuggestion:
+    """Highest-scoring node among ``candidates``; ties go to the earliest.
 
-    Eligible: a direct child statement of some FunctionDef body at index
-    >= 1 with no Return anywhere in the preceding body statements.
+    The caller passes the legal split points of the graph's source tree
+    (``minipy.split.split_points``), in ascending id order.
     """
-    children = graph.children_of()
-    kinds = graph.kinds()
-
-    def subtree_has_return(root: int) -> bool:
-        stack = [root]
-        while stack:
-            cur = stack.pop()
-            if kinds[cur] == "Return":
-                return True
-            stack.extend(children[cur])
-        return False
-
-    out: list[int] = []
-    for node in graph.nodes:
-        if node.kind != "FunctionDef":
-            continue
-        blocked = False
-        body = sorted(children[node.id])
-        for i, child in enumerate(body):
-            if i >= 1 and not blocked:
-                out.append(child)
-            if subtree_has_return(child):
-                blocked = True
-    return sorted(out)
-
-
-def suggest_split(model: GcnModel, graph: CodeGraph) -> SplitSuggestion:
-    """Highest-scoring eligible split node; ties go to the lowest id."""
-    candidates = eligible_split_nodes(graph)
     if not candidates:
         return SplitSuggestion(node_id=None, score=0.0, eligible=False)
     scores = forward(model, graph).node_scores
@@ -618,79 +590,6 @@ def suggest_split(model: GcnModel, graph: CodeGraph) -> SplitSuggestion:
         if scores[c] > scores[best]:
             best = c
     return SplitSuggestion(node_id=best, score=float(scores[best]), eligible=True)
-
-
-# --- grid search ------------------------------------------------------------------------
-
-DEFAULT_GRID: tuple[dict, ...] = (
-    {"layers": 2, "units": 64, "learning_rate": 0.0001},
-    {"layers": 2, "units": 128, "learning_rate": 0.0005},
-    {"layers": 4, "units": 128, "learning_rate": 0.0005},
-    {"layers": 4, "units": 256, "learning_rate": 0.001},
-    {"layers": 6, "units": 128, "learning_rate": 0.0005},
-)
-
-
-def grid_search(
-    dataset,
-    grid: Sequence[dict] = DEFAULT_GRID,
-    train_config: TrainConfig | None = None,
-) -> tuple[dict, list[dict]]:
-    """Train each configuration and rank by validation PR-AUC.
-
-    Ties break lexicographically on (layers, units, learning_rate).  The
-    validation slice is the same carve-out ``train`` uses.
-    """
-    from .evalreport import pr_curve  # local import avoids a module cycle
-
-    if not grid:
-        raise DataError("grid must be nonempty")
-    base = train_config or TrainConfig()
-    rows: list[dict] = []
-    for entry in grid:
-        cfg = GcnConfig(
-            layers=int(entry["layers"]),
-            units=int(entry["units"]),
-        )
-        tc = replace(base, learning_rate=float(entry["learning_rate"]))
-        model = init_model(base.seed, cfg)
-        model, _history = train(model, dataset, tc)
-        # rebuild the deterministic validation carve-out
-        rng = Rng(tc.seed)
-        train_idx = list(dataset.split["train"])
-        rng.shuffle(train_idx)
-        n_val = int(len(train_idx) * tc.val_fraction)
-        if tc.val_fraction > 0 and len(train_idx) >= 2 and n_val == 0:
-            n_val = 1
-        val_idx = train_idx[:n_val]
-        if val_idx:
-            graphs = [dataset.samples[i].graph for i in val_idx]
-            labels = [int(dataset.samples[i].label) for i in val_idx]
-            probs = predict_graphs(model, graphs)
-            try:
-                auc = pr_curve(list(probs), labels).auc
-            except DataError:
-                auc = 0.0
-        else:
-            auc = 0.0
-        rows.append(
-            {
-                "layers": cfg.layers,
-                "units": cfg.units,
-                "learning_rate": tc.learning_rate,
-                "val_pr_auc": auc,
-            }
-        )
-    ranked = sorted(
-        rows,
-        key=lambda r: (-r["val_pr_auc"], r["layers"], r["units"], r["learning_rate"]),
-    )
-    best = {
-        "layers": ranked[0]["layers"],
-        "units": ranked[0]["units"],
-        "learning_rate": ranked[0]["learning_rate"],
-    }
-    return best, rows
 
 
 # --- checkpoints ------------------------------------------------------------------------

@@ -97,23 +97,6 @@ class CodeGraph:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    # -- structure helpers (used by models and reports) -------------------------
-
-    def parent_of(self) -> dict[int, int]:
-        """Child id -> parent id, from Parent edges."""
-        return {e.dst: e.src for e in self.edges if e.kind == "Parent"}
-
-    def children_of(self) -> dict[int, list[int]]:
-        """Parent id -> child ids in order, from Parent edges."""
-        out: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for e in self.edges:
-            if e.kind == "Parent":
-                out[e.src].append(e.dst)
-        return out
-
-    def kinds(self) -> list[str]:
-        return [n.kind for n in self.nodes]
-
 
 # --- structural edge extraction ------------------------------------------------
 
@@ -332,6 +315,11 @@ def _check_parent_tree(graph: CodeGraph) -> None:
             state[v] = 2
 
 
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ingest_graph_doc(doc: dict) -> CodeGraph:
     """Validate and load a graph document; raises SchemaError on violation."""
     if not isinstance(doc, dict):
@@ -349,7 +337,7 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
     ):
         raise SchemaError("source_digest must be 32 lowercase hex characters")
     label = doc.get("label")
-    if label is not None and label not in (0, 1):
+    if label is not None and (not _is_int(label) or label not in (0, 1)):
         raise SchemaError("label must be 0 or 1")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -362,7 +350,7 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
         unknown = set(rn) - _NODE_KEYS
         if unknown:
             raise SchemaError(f"{path} has unknown field {sorted(unknown)[0]!r}")
-        if rn.get("id") != i:
+        if not _is_int(rn.get("id")) or rn["id"] != i:
             raise SchemaError(f"{path}.id must be {i} (ids dense, ascending)")
         kind = rn.get("kind")
         if kind not in NODE_KINDS:
@@ -372,7 +360,7 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
         )
     split_node = doc.get("split_node")
     if split_node is not None:
-        if not isinstance(split_node, int) or not 0 <= split_node < len(nodes):
+        if not _is_int(split_node) or not 0 <= split_node < len(nodes):
             raise SchemaError("split_node must be a valid node id")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
@@ -391,7 +379,7 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
         src = re.get("src")
         dst = re.get("dst")
         for label_, v in (("src", src), ("dst", dst)):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < len(nodes):
+            if not _is_int(v) or not 0 <= v < len(nodes):
                 raise SchemaError(f"{path}.{label_} does not reference a node")
         edges.append(
             EdgeRecord(src=src, dst=dst, kind=kind, features=_check_features(re.get("features"), EDGE_FEATURE_DIM, path))

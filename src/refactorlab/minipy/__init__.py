@@ -6,7 +6,7 @@ from .nodes import AstNode, AstTree, KIND_INDEX, NODE_KINDS, structural_equal
 from .parser import parse, parse_source
 from .printer import pretty_print
 from .source import SourceUnit, normalize_source, source_digest
-from .split import extract_split, live_variables
+from .split import extract_split, live_variables, split_points
 from .tokens import Token, tokenize
 
 __all__ = [
@@ -28,6 +28,7 @@ __all__ = [
     "pretty_print",
     "run_module",
     "source_digest",
+    "split_points",
     "structural_equal",
     "tokenize",
 ]

@@ -21,6 +21,10 @@ Grammar (blocks are NEWLINE INDENT stmt+ DEDENT, four spaces per level):
 ever contains plain If nodes.  Calls that appear inside expressions are
 materialized as Call nodes, children of the statement or condition that
 owns the expression (nested calls are children of the enclosing call).
+
+Blocks, ``elif`` links and call arguments nest at most ``MAX_NESTING``
+levels deep; deeper input is a ParseError, so neither the parser nor the
+recursive tree walks downstream can exhaust the Python stack.
 """
 
 from __future__ import annotations
@@ -29,11 +33,14 @@ from ..errors import ParseError
 from .nodes import AstNode, AstTree, BinOp, CallRef, COMPARE_OPS, Expr, Name, Num
 from .tokens import Token, tokenize
 
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     # -- token plumbing -------------------------------------------------------
 
@@ -60,6 +67,13 @@ class _Parser:
     def at_keyword(self, word: str) -> bool:
         tok = self.peek()
         return tok.kind == "Keyword" and tok.text == word
+
+    def nest(self) -> None:
+        """Enter one nesting level; callers leave it with ``depth -= 1``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            tok = self.peek()
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok.line, tok.col)
 
     # -- program and statements -------------------------------------------------
 
@@ -95,10 +109,12 @@ class _Parser:
     def block(self) -> list[AstNode]:
         self.expect("Newline")
         self.expect("Indent")
+        self.nest()
         stmts = [self.statement()]
         while self.peek().kind not in ("Dedent", "Eof"):
             stmts.append(self.statement())
         self.expect("Dedent")
+        self.depth -= 1
         return stmts
 
     def funcdef(self) -> AstNode:
@@ -132,7 +148,9 @@ class _Parser:
         then = self.block()
         orelse: list[AstNode] = []
         if self.at_keyword("elif"):
+            self.nest()
             orelse = [self.if_stmt()]
+            self.depth -= 1
         elif self.at_keyword("else"):
             self.advance()
             self.expect("Operator", ":")
@@ -265,6 +283,7 @@ class _Parser:
 
     def _call_node(self, dotted: str, line: int) -> AstNode:
         self.expect("Operator", "(")
+        self.nest()
         args: list[Expr] = []
         arg_calls: list[AstNode] = []
         if self.peek().text != ")":
@@ -277,6 +296,7 @@ class _Parser:
                 args.append(expr)
                 arg_calls.extend(inner)
         self.expect("Operator", ")")
+        self.depth -= 1
         return AstNode(
             "Call",
             name=dotted,

@@ -1,12 +1,16 @@
-"""Extract-method transform: split a function after its first k statements.
+"""Extract-method transform: split a function at one of its body statements.
 
-The head keeps statements 1..k and gains ``return <fn>_tail(live...)``;
-the tail function takes the live variables as parameters and is inserted
-right after the top-level statement containing the split function.  Live
-variables are the names the tail may read before defining, intersected
-with names the head (or the parameter list) may define, in first-read
-order.  Definitions inside branches or loops of the tail do not count as
-definite, so the analysis never drops a needed parameter.
+A split is addressed by the node id of the statement that starts the
+tail.  ``split_points`` is the one definition of where that may be: a
+body statement of a FunctionDef at index k >= 1, with no Return anywhere
+in the k statements before it.  The head keeps those k statements and
+gains ``return <fn>_tail(live...)``; the tail function takes the live
+variables as parameters and is inserted right after the top-level
+statement containing the split function.  Live variables are the names
+the tail may read before defining, intersected with names the head (or
+the parameter list) may define, in first-read order.  Definitions inside
+branches or loops of the tail do not count as definite, so the analysis
+never drops a needed parameter.
 
 The result is rebuilt through print-and-reparse, which renumbers ids and
 recomputes spans in one step.
@@ -105,8 +109,20 @@ def live_variables(fn: AstNode, k: int) -> list[str]:
     return live
 
 
-def _contains_return(stmts: list[AstNode]) -> bool:
-    return any(n.kind == "Return" for stmt in stmts for n in stmt.walk())
+def split_points(tree: AstTree) -> list[int]:
+    """Ids of the statements a tail may start at, ascending.
+
+    That is every body statement of a FunctionDef at index >= 1 with no
+    Return anywhere in the earlier statements of that body.
+    """
+    points: list[int] = []
+    for fn in tree.functions():
+        for k, stmt in enumerate(fn.children):
+            if k >= 1:
+                points.append(stmt.id)
+            if any(n.kind == "Return" for n in stmt.walk()):
+                break
+    return sorted(points)
 
 
 def _tail_name(tree: AstTree, base: str) -> str:
@@ -119,25 +135,18 @@ def _tail_name(tree: AstTree, base: str) -> str:
     return candidate
 
 
-def extract_split(tree: AstTree, fn_name: str, k: int) -> AstTree:
-    """Split ``fn_name`` after its first k statements (k is 1-based).
+def extract_split(tree: AstTree, node_id: int) -> AstTree:
+    """Split the enclosing function so its tail starts at ``node_id``.
 
-    Raises SplitError if the function is missing, k is out of range
-    (1 <= k < body length), or the head contains a Return.
+    Raises SplitError unless ``node_id`` is one of ``split_points(tree)``.
     """
-    fn = next((f for f in tree.functions() if f.name == fn_name), None)
-    if fn is None:
-        raise SplitError(f"no function named {fn_name!r}")
-    body = fn.children
-    if not 1 <= k < len(body):
-        raise SplitError(
-            f"split index {k} out of range for body of {len(body)} statements"
-        )
-    if _contains_return(body[:k]):
-        raise SplitError("head of split contains a return")
+    if node_id not in split_points(tree):
+        raise SplitError(f"node {node_id} is not a legal split point")
+    fn = tree.nodes[tree.enclosing_function(node_id)]
+    k = next(i for i, stmt in enumerate(fn.children) if stmt.id == node_id)
 
     live = live_variables(fn, k)
-    tail_name = _tail_name(tree, fn_name)
+    tail_name = _tail_name(tree, fn.name)
 
     root = copy.deepcopy(tree.root)
     new_tree = AstTree.from_root(root)

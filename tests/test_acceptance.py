@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from refactorlab.corpus import dataset_from_doc, ingest_dir, build_dataset, structural_label
-from refactorlab.evalreport import _split_plan, metric_drop, pr_curve
+from refactorlab.evalreport import metric_drop, pr_curve
 from refactorlab.gcn import (
     GcnConfig,
     aggregation_matrix,
@@ -31,7 +31,7 @@ from refactorlab.graph import CodeGraph, EdgeRecord, NodeRecord, build_graph
 from refactorlab.metrics import cyclomatic, cyclomatic_cfg_oracle
 from refactorlab.minipy.interp import behavior_fingerprint
 from refactorlab.minipy.parser import parse_source
-from refactorlab.minipy.split import extract_split
+from refactorlab.minipy.split import extract_split, split_points
 from refactorlab.rng import Rng
 from refactorlab.rules import analyze_rules
 from refactorlab.synth import generate_program, generate_units
@@ -234,13 +234,10 @@ def test_criterion_06_suggested_splits_cut_complexity(headline):
         pre = max((cyclomatic(f) for f in tree.functions()), default=0)
         if pre < 12:
             continue
-        suggestion = suggest_split(model, build_graph(tree))
+        suggestion = suggest_split(model, build_graph(tree), split_points(tree))
         if suggestion.node_id is None:
             continue
-        plan = _split_plan(tree, suggestion.node_id)
-        if plan is None:
-            continue
-        after = extract_split(tree, plan[0], plan[1])
+        after = extract_split(tree, suggestion.node_id)
         post = max((cyclomatic(f) for f in after.functions()), default=0)
         drops.append(metric_drop(float(pre), float(post)))
     mean_drop = float(np.mean(drops)) if drops else 0.0
@@ -263,11 +260,11 @@ def test_criterion_07_200_splits_with_100_random_bindings_each():
         tree = parse_source(src)
         label, split_node = structural_label(tree)
         assert label == 1
-        plan = _split_plan(tree, split_node)
-        assert plan is not None
-        after = extract_split(tree, plan[0], plan[1])
-        fn_name = plan[0]
-        arity = len(next(f for f in tree.functions() if f.name == fn_name).params)
+        assert split_node in split_points(tree)
+        after = extract_split(tree, split_node)
+        fn = tree.nodes[tree.enclosing_function(split_node)]
+        fn_name = fn.name
+        arity = len(fn.params)
         for _ in range(100):
             args = [rng.randint(0, 6) for _ in range(arity)]
             if behavior_fingerprint(tree, fn_name, args) != behavior_fingerprint(

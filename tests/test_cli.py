@@ -8,8 +8,11 @@ import pytest
 
 from refactorlab.dtree import dtree_from_doc
 from refactorlab.gcn import gcn_from_doc
+from refactorlab.graph import build_graph
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.printer import pretty_print
+from refactorlab.minipy.split import extract_split
+from refactorlab.viz import function_render_metrics, to_html
 
 from conftest import PLAIN_SRC, SPLITTABLE_SRC, run_cli
 
@@ -123,6 +126,15 @@ def test_exit_parse_on_bad_source(tmp_path):
     assert "parse error" in err
 
 
+def test_exit_parse_on_deep_nesting(tmp_path):
+    deep = tmp_path / "deep.mpy"
+    lines = ["def f(x):"] + ["    " * d + "if x > 0:" for d in range(1, 401)]
+    deep.write_text("\n".join(lines + ["    " * 401 + "x = 1"]) + "\n")
+    code, _, err = run_cli(["parse", str(deep)])
+    assert code == 2
+    assert "nesting deeper than" in err
+
+
 def test_exit_data_on_missing_file():
     code, _, err = run_cli(["metrics", "/no/such/file.mpy"])
     assert code == 3
@@ -214,6 +226,18 @@ def test_eval_pr_points(pipeline):
     assert len(lines) >= 2
 
 
+def test_train_gnn_without_validation_slice(pipeline):
+    # one training sample leaves nothing to carve a validation slice from
+    manifest = json.loads(pipeline[1])
+    n = len(manifest["samples"])
+    manifest["split"] = {"train": [0], "test": list(range(1, n))}
+    code, _, err = run_cli(
+        ["train", "--model", "gnn", "--epochs", "1"], stdin_text=json.dumps(manifest)
+    )
+    assert code == 0, err
+    assert "val_acc n/a" in err
+
+
 def test_train_checkpoint_out(tmp_path, pipeline):
     target = tmp_path / "dtree.json"
     code, _, err = run_cli(
@@ -278,3 +302,41 @@ def test_viz_rejects_illegal_split(tmp_path, splittable_file):
     )
     assert code == 3
     assert "not a legal split point" in err
+
+
+DUPLICATE_NAME_SRC = """\
+def step(n):
+    a = n + 1
+    return a
+
+def step(n):
+    a = n
+    for i in range(n):
+        a = a + i
+    b = a - 1
+    c = b + 2
+    return c
+
+print(step(3))
+"""
+
+
+def test_viz_splits_the_later_of_two_same_named_functions(tmp_path):
+    path = tmp_path / "duplicate_name.mpy"
+    path.write_text(DUPLICATE_NAME_SRC)
+    tree = parse_source(DUPLICATE_NAME_SRC)
+    split_id = tree.functions()[1].children[3].id
+    code, out, err = run_cli(["viz", str(path), "--split", str(split_id), "--out", "-"])
+    assert code == 0, err
+    assert out.count("<svg") == 2
+    assert "<figcaption>before</figcaption>" in out
+    assert "<figcaption>after</figcaption>" in out
+    # the after panel is the later step split at its fourth statement
+    after = extract_split(tree, split_id)
+    assert [len(f.children) for f in after.functions()] == [2, 4, 2]
+    assert out == to_html(
+        build_graph(tree),
+        after=build_graph(after),
+        before_metrics=function_render_metrics(tree),
+        after_metrics=function_render_metrics(after),
+    )

@@ -174,25 +174,6 @@ def test_structural_label_accepts_while_loops():
     assert tree.nodes[split_node].name == "tail"
 
 
-def test_label_unit_freezes_post_split_metrics():
-    sample = label_unit(unit("w.mpy", LABELED_SRC))
-    assert sample.label == 1
-    tree = parse_source(LABELED_SRC)
-    assert cyclomatic(tree.functions()[0]) == 4
-    # the loop keeps its decisions in the head, so max complexity stays 4
-    # while the tail is decision-free; no imports or foreign calls anywhere
-    assert sample.post_metrics == {"cyclomatic": 4.0, "coupling": 0.0}
-    assert sample.source == LABELED_SRC
-    assert sample.path == "w.mpy"
-
-
-def test_label_unit_negative_has_no_post_metrics():
-    sample = label_unit(unit("p.mpy", PLAIN_SRC))
-    assert sample.label == 0
-    assert sample.split_node is None
-    assert sample.post_metrics is None
-
-
 # --- balancing --------------------------------------------------------------------
 
 
@@ -439,9 +420,12 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d.update(split={"train": [0]}))
     corrupt(lambda d: d["split"]["train"].append(0))  # overlap/cover violation
     corrupt(lambda d: d.update(folds=[[0]]))
+    for split_node in (10**6, -1, True, 1.5):  # not a node id of the sample's graph
+        corrupt(lambda d: d["samples"][0].update(split_node=split_node))
 
 
 def test_manifest_rejects_post_metrics_without_split(small_dataset):
+    # version 2 dropped post_metrics; the old key is an unknown field
     doc = copy.deepcopy(dataset_to_doc(small_dataset))
     target = doc["samples"][0]
     target.pop("split_node", None)

@@ -13,7 +13,6 @@ from refactorlab.gcn import (
     TrainConfig,
     aggregation_matrix,
     backward,
-    eligible_split_nodes,
     forward,
     gcn_from_doc,
     gcn_layer_forward,
@@ -28,6 +27,7 @@ from refactorlab.gcn import (
 )
 from refactorlab.graph import CodeGraph, EdgeRecord, NodeRecord, build_graph
 from refactorlab.minipy.parser import parse_source
+from refactorlab.minipy.split import split_points
 from refactorlab.rng import Rng
 
 from conftest import SPLITTABLE_SRC
@@ -189,47 +189,16 @@ def test_forward_is_permutation_invariant():
             assert abs(out.node_scores[perm[old_id]] - base.node_scores[old_id]) <= 1e-12
 
 
-# --- split eligibility -----------------------------------------------------------------
-
-
-def test_eligible_nodes_fixture():
-    tree = parse_source(SPLITTABLE_SRC)
-    graph = build_graph(tree)
-    fn = tree.functions()[0]
-    body_ids = [c.id for c in fn.children]
-    # every body statement except the first is eligible; nothing precedes
-    # them that returns, and the trailing Return itself may start a tail
-    assert eligible_split_nodes(graph) == body_ids[1:]
-
-
-def test_eligible_blocked_after_return():
-    src = (
-        "def f(a):\n"
-        "    x = a + 1\n"
-        "    if x > 3:\n"
-        "        return 0\n"
-        "    y = x * 2\n"
-        "    return y\n"
-    )
-    tree = parse_source(src)
-    graph = build_graph(tree)
-    fn = tree.functions()[0]
-    body_ids = [c.id for c in fn.children]
-    # the if-statement (index 1) is eligible, but it contains a Return,
-    # so every later statement is blocked
-    assert eligible_split_nodes(graph) == [body_ids[1]]
-
-
-def test_eligible_skips_single_statement_functions():
-    assert eligible_split_nodes(build_graph(parse_source("def f(a):\n    return a\n"))) == []
+# --- split suggestion ------------------------------------------------------------------
 
 
 def test_suggest_split_picks_highest_scoring_candidate():
     model = init_model(11, SMALL_CFG)
-    graph = build_graph(parse_source(SPLITTABLE_SRC))
-    suggestion = suggest_split(model, graph)
+    tree = parse_source(SPLITTABLE_SRC)
+    graph = build_graph(tree)
+    candidates = split_points(tree)
+    suggestion = suggest_split(model, graph, candidates)
     assert suggestion.eligible
-    candidates = eligible_split_nodes(graph)
     assert suggestion.node_id in candidates
     scores = forward(model, graph).node_scores
     assert suggestion.score == pytest.approx(float(max(scores[c] for c in candidates)))
@@ -237,7 +206,8 @@ def test_suggest_split_picks_highest_scoring_candidate():
 
 def test_suggest_split_handles_no_candidates():
     model = init_model(11, SMALL_CFG)
-    suggestion = suggest_split(model, build_graph(parse_source("x = 1\n")))
+    tree = parse_source("x = 1\n")
+    suggestion = suggest_split(model, build_graph(tree), split_points(tree))
     assert suggestion.node_id is None
     assert not suggestion.eligible
 

@@ -221,6 +221,10 @@ def test_graph_doc_rejects_violations():
     corrupt(lambda d: d["edges"][0].update(dst=99))
     corrupt(lambda d: d["edges"].append(dict(d["edges"][0])))  # duplicate Parent edge
     corrupt(lambda d: d.update(label=2))
+    # bools posing as ints
+    corrupt(lambda d: d.update(split_node=True))
+    corrupt(lambda d: d.update(label=True))
+    corrupt(lambda d: d["nodes"][0].update(id=False))
 
 
 def test_graph_doc_parent_edges_must_form_tree():

@@ -7,7 +7,7 @@ import pytest
 from refactorlab.errors import LexError, ParseError, SchemaError
 from refactorlab.minipy.astdoc import emit_ast_doc, ingest_ast_doc
 from refactorlab.minipy.nodes import count_decisions, structural_equal
-from refactorlab.minipy.parser import parse_source
+from refactorlab.minipy.parser import MAX_NESTING, parse_source
 from refactorlab.minipy.printer import pretty_print
 from refactorlab.minipy.tokens import tokenize
 
@@ -162,6 +162,31 @@ def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_source("x = 1\ny = =\n")
     assert "2" in str(exc.value)  # mentions the offending line
+
+
+def _nested_ifs(depth: int) -> str:
+    lines = ["def f(x):"] + ["    " * d + "if x > 0:" for d in range(1, depth + 1)]
+    return "\n".join(lines + ["    " * (depth + 1) + "x = 1"]) + "\n"
+
+
+def _elif_chain(length: int) -> str:
+    arms = "".join(f"    elif x > {i}:\n        x = 2\n" for i in range(length))
+    return "def f(x):\n    if x > 0:\n        x = 1\n" + arms
+
+
+def _nested_calls(depth: int) -> str:
+    return "y = " + "f(" * depth + "1" + ")" * depth + "\n"
+
+
+@pytest.mark.parametrize(
+    "make, fits, too_deep",
+    [(_nested_ifs, 99, 400), (_elif_chain, 98, 400), (_nested_calls, 100, 400)],
+)
+def test_parse_limits_nesting_depth(make, fits, too_deep):
+    assert MAX_NESTING == 100
+    parse_source(make(fits)).validate()
+    with pytest.raises(ParseError, match="nesting deeper than 100 levels"):
+        parse_source(make(too_deep))
 
 
 def test_spans_nest_and_validate():

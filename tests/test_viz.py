@@ -165,8 +165,7 @@ def test_html_is_self_contained():
 
 def test_html_before_after_panels_and_caption():
     tree = parse_source(SPLITTABLE_SRC)
-    fn = tree.functions()[0]
-    after = extract_split(tree, fn.name, 2)
+    after = extract_split(tree, tree.functions()[0].children[2].id)
     page = to_html(
         build_graph(tree),
         after=build_graph(after),
