@@ -42,7 +42,7 @@ print(" ", [round(v, 3) for v in fn.features])
 
 # --- the message-passing operator ----------------------------------------
 
-A = aggregation_matrix(graph)
+A = aggregation_matrix(graph).toarray()
 print(f"\naggregation matrix {A.shape}, self-loops on the diagonal:",
       bool(np.all(np.diag(A) == 1.0)))
 row = fn.id

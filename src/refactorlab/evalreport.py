@@ -10,10 +10,11 @@ refactorings would achieve.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from .errors import (
 )
 from .gcn import GcnModel, predict_graphs, suggest_split
 from .metrics import coupling, cyclomatic
-from .minipy.nodes import AstTree
 from .minipy.parser import parse_source
 from .minipy.split import extract_split, split_points
 from .rules import classify_rules_graph
@@ -195,36 +195,37 @@ class ComparisonReport:
 
 
 def _drop_stats(
-    trees: dict[int, AstTree],
+    measured: Callable[[int, int | None], tuple[float, float]],
     points: dict[int, list[int]],
     preds: np.ndarray,
     split_for: dict[int, int | None],
 ) -> tuple[float | None, float | None, int]:
     """Mean complexity/coupling drops over predicted-refactor samples.
 
-    ``trees`` and ``points`` hold the parsed source and legal split points
-    of each test sample that has source text, by position.  ``split_for``
-    maps sample position to the node id to split at (the model's
-    suggestion, or the labeled oracle split).  Samples without source
-    text, without a legal split, or with a zero pre-metric are skipped;
-    None means no sample could be processed at all.
+    ``points`` holds the legal split points of each test sample that has
+    source text, by position, and ``measured(pos, node_id)`` gives that
+    sample's (max function cyclomatic, coupling) after the split at
+    ``node_id``, or before any split when ``node_id`` is None.
+    ``split_for`` maps sample position to the node id to split at (the
+    model's suggestion, or the labeled oracle split).  Samples without
+    source text, without a legal split, or with a zero pre-metric are
+    skipped; None means no sample could be processed at all.
     """
     pre_cc: list[float] = []
     post_cc: list[float] = []
     pre_cp: list[float] = []
     post_cp: list[float] = []
     applied = 0
-    for pos, tree in trees.items():
+    for pos, legal in points.items():
         node_id = split_for.get(pos)
-        if preds[pos] != 1 or node_id not in points[pos]:
+        if preds[pos] != 1 or node_id not in legal:
             continue
-        after = extract_split(tree, node_id)
-        pre = max((cyclomatic(f) for f in tree.functions()), default=0)
-        post = max((cyclomatic(f) for f in after.functions()), default=0)
-        pre_cc.append(float(pre))
-        post_cc.append(float(post))
-        pre_cp.append(float(coupling(tree)))
-        post_cp.append(float(coupling(after)))
+        cc, cp = measured(pos, None)
+        pre_cc.append(cc)
+        pre_cp.append(cp)
+        cc, cp = measured(pos, node_id)
+        post_cc.append(cc)
+        post_cp.append(cp)
         applied += 1
     cc_drop: float | None = None
     cp_drop: float | None = None
@@ -258,6 +259,15 @@ def compare(dataset: Dataset, dtree: DTreeModel, gcn: GcnModel) -> ComparisonRep
         pos: parse_source(s.source) for pos, s in enumerate(samples) if s.source is not None
     }
     points = {pos: split_points(tree) for pos, tree in trees.items()}
+
+    # each sample's metrics, and each distinct split of it, are computed
+    # once and shared by the three models
+    @functools.cache
+    def measured(pos: int, node_id: int | None) -> tuple[float, float]:
+        tree = trees[pos] if node_id is None else extract_split(trees[pos], node_id)
+        cc = max((cyclomatic(f) for f in tree.functions()), default=0)
+        return float(cc), float(coupling(tree))
+
     # labeled splits serve as the oracle for models that cannot localize
     oracle_split = {pos: s.split_node for pos, s in enumerate(samples)}
     gcn_split = {
@@ -274,7 +284,7 @@ def compare(dataset: Dataset, dtree: DTreeModel, gcn: GcnModel) -> ComparisonRep
     ):
         conf = confusion(list(preds), labels)
         curve = pr_curve(list(float(v) for v in scores), labels)
-        cc_drop, cp_drop, applied = _drop_stats(trees, points, preds, split_for)
+        cc_drop, cp_drop, applied = _drop_stats(measured, points, preds, split_for)
         models[name] = ModelEval(
             name=name,
             confusion=conf,

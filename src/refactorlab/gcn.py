@@ -1,10 +1,14 @@
 """Graph convolutional network with handwritten backpropagation.
 
-Each layer computes h_v = ReLU(W . sum_{u in N(v)} h_u + b): a plain sum
-over neighbors, no degree normalization (a symmetric-normalization flag
-exists but defaults off).  Neighborhoods are undirected, include a
-self-loop with unit gate, and every edge contributes its strength feature
-as a multiplicative gate on the message.  Two heads read the final
+Each layer computes h_v = ReLU(W . sum_{u in N(v)} g_vu h_u + b): a gated
+sum over neighbors with no degree normalization.  Neighborhoods are
+undirected and include a self-loop with unit gate; every other gate g_vu
+is the summed strength feature of the edges between u and v.
+``aggregation_matrix`` is the one definition of that operator, a sparse
+CSR matrix.  There is one forward and one backward pass, over a batch of
+graphs stacked block-diagonally: training and ``predict_graphs`` batch
+many graphs, while ``forward``, ``backward``, ``sample_loss`` and
+``suggest_split`` run a batch of one.  Two heads read the final
 embeddings: a graph head (sigmoid of a linear map over the mean-pooled
 embedding) classifies refactor/keep, and a node head scores every node as
 a split-point candidate.
@@ -35,12 +39,10 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
 )
-from .graph import CodeGraph
+from .graph import EDGE_STRENGTH, CodeGraph
 from .rng import Rng
 
-_STRENGTH = 5  # edge feature index used as the aggregation gate
-
-CHECKPOINT_VERSION = "1"
+CHECKPOINT_VERSION = "2"
 
 
 @dataclass(frozen=True)
@@ -49,7 +51,15 @@ class GcnConfig:
     units: int = 128
     dropout: float = 0.4
     input_dim: int = 12
-    symmetric_norm: bool = False
+
+    def __post_init__(self) -> None:
+        for name in ("layers", "units", "input_dim"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+        d = self.dropout
+        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0.0 <= d < 1.0:
+            raise DataError(f"dropout must be a number in [0, 1), got {d!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -57,7 +67,6 @@ class GcnConfig:
             "units": self.units,
             "dropout": self.dropout,
             "input_dim": self.input_dim,
-            "symmetric_norm": self.symmetric_norm,
         }
 
 
@@ -153,21 +162,25 @@ def init_model(seed: int, config: GcnConfig | None = None) -> GcnModel:
 # --- tensors ------------------------------------------------------------------------
 
 
-def aggregation_matrix(graph: CodeGraph, symmetric_norm: bool = False) -> np.ndarray:
-    """Dense gate matrix A with A[v, u] = summed strength of edges between
-    u and v (both orientations) plus a unit self-loop on the diagonal."""
+def aggregation_matrix(graph: CodeGraph) -> sparse.csr_matrix:
+    """Sparse gate matrix A: A[v, u] is the summed strength of the edges
+    between u and v, in either orientation, and each diagonal entry adds a
+    unit self-loop.  Every edge enters both orientations, so A is symmetric.
+
+    Each entry is summed in edge order with the self-loop last, a fixed
+    float reduction order that keeps training reproducible bit for bit.
+    """
     n = len(graph.nodes)
-    A = np.zeros((n, n), dtype=np.float64)
+    gates: dict[tuple[int, int], float] = {}
     for e in graph.edges:
-        s = e.features[_STRENGTH]
-        A[e.dst, e.src] += s
-        A[e.src, e.dst] += s
-    A[np.diag_indices(n)] += 1.0
-    if symmetric_norm:
-        d = A.sum(axis=1)
-        scale = 1.0 / np.sqrt(d)
-        A = A * scale[:, None] * scale[None, :]
-    return A
+        s = e.features[EDGE_STRENGTH]
+        gates[e.dst, e.src] = gates.get((e.dst, e.src), 0.0) + s
+        gates[e.src, e.dst] = gates.get((e.src, e.dst), 0.0) + s
+    for v in range(n):
+        gates[v, v] = gates.get((v, v), 0.0) + 1.0
+    at = np.array(list(gates), dtype=np.int64).reshape(-1, 2)
+    vals = np.array(list(gates.values()), dtype=np.float64)
+    return sparse.csr_matrix((vals, (at[:, 0], at[:, 1])), shape=(n, n))
 
 
 def _node_matrix(graph: CodeGraph, input_dim: int) -> np.ndarray:
@@ -208,15 +221,16 @@ def gcn_layer_forward(
 def _forward_full(
     model: GcnModel,
     X: np.ndarray,
-    A,
-    training: bool,
-    nprng: np.random.Generator | None,
-    segments: np.ndarray | None = None,
+    A: sparse.csr_matrix,
+    counts: np.ndarray,
+    nprng: np.random.Generator | None = None,
 ) -> dict:
-    """Forward pass with recorded intermediates.
+    """Forward pass over a batch with recorded intermediates.
 
-    ``segments`` gives per-graph node counts for batched input; None means
-    a single graph.  Returns every intermediate needed by the backward pass.
+    ``X`` and ``A`` stack the batch's graphs block-diagonally and
+    ``counts`` gives each graph's node count.  Dropout is drawn from
+    ``nprng`` when one is given (training) and skipped otherwise.
+    Returns every intermediate needed by the backward pass.
     """
     cfg = model.config
     w = model.weights
@@ -227,9 +241,7 @@ def _forward_full(
         Z = S @ w[f"W{layer}"] + w[f"b{layer}"]
         H = np.maximum(Z, 0.0)
         mask = None
-        if training and cfg.dropout > 0.0 and layer < cfg.layers:
-            if nprng is None:
-                raise DataError("training forward needs an rng for dropout")
+        if nprng is not None and cfg.dropout > 0.0 and layer < cfg.layers:
             keep = nprng.random(H.shape) >= cfg.dropout
             mask = keep / (1.0 - cfg.dropout)
             H = H * mask
@@ -237,10 +249,6 @@ def _forward_full(
         cache["Z"].append(Z)
         cache["H"].append(H)
         cache["mask"].append(mask)
-    if segments is None:
-        counts = np.array([X.shape[0]], dtype=np.int64)
-    else:
-        counts = segments
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     sums = np.add.reduceat(H, starts, axis=0)
     means = sums / counts[:, None]
@@ -260,17 +268,16 @@ def _forward_full(
     return cache
 
 
-def forward(
-    model: GcnModel,
-    graph: CodeGraph,
-    training: bool = False,
-    rng: Rng | None = None,
-) -> ForwardResult:
-    """Graph-level refactor probability and per-node split scores."""
-    X = _node_matrix(graph, model.config.input_dim)
-    A = aggregation_matrix(graph, model.config.symmetric_norm)
-    nprng = np.random.default_rng(rng.next_u64()) if rng is not None else None
-    cache = _forward_full(model, X, A, training, nprng)
+def _forward_one(model: GcnModel, graph: CodeGraph) -> dict:
+    """Inference-mode forward cache of one graph: a batch of one."""
+    X, A, counts, _, _ = _assemble_batch([_sample_tensors(graph, model.config, 0.0, None)])
+    return _forward_full(model, X, A, counts)
+
+
+def forward(model: GcnModel, graph: CodeGraph) -> ForwardResult:
+    """Inference-mode refactor probability and per-node split scores of one
+    graph, from the same batched pass that ``predict_graphs`` runs."""
+    cache = _forward_one(model, graph)
     return ForwardResult(
         graph_prob=float(cache["graph_probs"][0]),
         node_scores=cache["node_scores"].copy(),
@@ -320,7 +327,6 @@ def _backward_from_cache(
     cache: dict,
     labels: np.ndarray,
     split_labels: list[int | None],
-    A_T,
 ) -> dict[str, np.ndarray]:
     cfg = model.config
     w = model.weights
@@ -359,35 +365,25 @@ def _backward_from_cache(
         grads[f"W{layer}"] = cache["S"][layer - 1].T @ dZ
         grads[f"b{layer}"] = dZ.sum(axis=0)
         dS = dZ @ w[f"W{layer}"].T
-        dH = A_T @ dS
+        dH = cache["A"] @ dS  # A is symmetric, so it is its own transpose
     return grads
 
 
 def backward(
-    model: GcnModel,
-    graph: CodeGraph,
-    label: int,
-    split_label: int | None = None,
-    training: bool = False,
-    rng: Rng | None = None,
+    model: GcnModel, graph: CodeGraph, label: int, split_label: int | None = None
 ) -> dict[str, np.ndarray]:
-    """Gradients of the sample loss for every parameter."""
-    X = _node_matrix(graph, model.config.input_dim)
-    A = aggregation_matrix(graph, model.config.symmetric_norm)
-    nprng = np.random.default_rng(rng.next_u64()) if rng is not None else None
-    cache = _forward_full(model, X, A, training, nprng)
+    """Inference-mode gradients of one sample's loss for every parameter,
+    from the same batched pass that training runs."""
     labels = np.array([float(label)])
-    return _backward_from_cache(model, cache, labels, [split_label], A.T)
+    return _backward_from_cache(model, _forward_one(model, graph), labels, [split_label])
 
 
 def sample_loss(
     model: GcnModel, graph: CodeGraph, label: int, split_label: int | None = None
 ) -> float:
     """Inference-mode loss of one sample (used by the finite-difference check)."""
-    X = _node_matrix(graph, model.config.input_dim)
-    A = aggregation_matrix(graph, model.config.symmetric_norm)
-    cache = _forward_full(model, X, A, False, None)
-    return _loss_from_cache(cache, np.array([float(label)]), [split_label])
+    labels = np.array([float(label)])
+    return _loss_from_cache(_forward_one(model, graph), labels, [split_label])
 
 
 def gradient_check(
@@ -423,41 +419,33 @@ def gradient_check(
 @dataclass
 class _SampleTensors:
     X: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
-    gates: np.ndarray
-    n: int
+    A: sparse.csr_matrix
     label: float
     split: int | None
 
 
 def _sample_tensors(graph: CodeGraph, config: GcnConfig, label: float, split: int | None) -> _SampleTensors:
-    X = _node_matrix(graph, config.input_dim)
-    A = aggregation_matrix(graph, config.symmetric_norm)
-    rows, cols = np.nonzero(A)
     return _SampleTensors(
-        X=X,
-        rows=rows.astype(np.int64),
-        cols=cols.astype(np.int64),
-        gates=A[rows, cols],
-        n=len(graph.nodes),
+        X=_node_matrix(graph, config.input_dim),
+        A=aggregation_matrix(graph),
         label=label,
         split=split,
     )
 
 
 def _assemble_batch(tensors: list[_SampleTensors]):
-    counts = np.array([t.n for t in tensors], dtype=np.int64)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    X = np.vstack([t.X for t in tensors])
-    rows = np.concatenate([t.rows + off for t, off in zip(tensors, offsets)])
-    cols = np.concatenate([t.cols + off for t, off in zip(tensors, offsets)])
-    gates = np.concatenate([t.gates for t in tensors])
+    counts = np.array([t.X.shape[0] for t in tensors], dtype=np.int64)
+    nnz = np.array([t.A.nnz for t in tensors], dtype=np.int64)
+    # the block-diagonal stack of the CSR matrices, joined array by array:
+    # sparse.block_diag converts every block and takes ten times as long
+    indptr = np.concatenate([[0]] + [t.A.indptr[1:] + o for t, o in zip(tensors, np.cumsum(nnz) - nnz)])
+    indices = np.concatenate([t.A.indices + o for t, o in zip(tensors, np.cumsum(counts) - counts)])
     n = int(counts.sum())
-    A = sparse.csr_matrix((gates, (rows, cols)), shape=(n, n))
+    A = sparse.csr_matrix((np.concatenate([t.A.data for t in tensors]), indices, indptr), shape=(n, n))
+    X = np.vstack([t.X for t in tensors])
     labels = np.array([t.label for t in tensors], dtype=np.float64)
     splits = [t.split for t in tensors]
-    return X, A, A.T.tocsr(), counts, labels, splits
+    return X, A, counts, labels, splits
 
 
 @dataclass
@@ -527,11 +515,11 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         correct = 0
         for lo in range(0, len(order), config.batch_size):
             batch = [tensors[i] for i in order[lo : lo + config.batch_size]]
-            X, A, A_T, counts, labels, splits = _assemble_batch(batch)
-            cache = _forward_full(model, X, A, True, nprng, segments=counts)
+            X, A, counts, labels, splits = _assemble_batch(batch)
+            cache = _forward_full(model, X, A, counts, nprng)
             losses.append(_loss_from_cache(cache, labels, splits))
             correct += int(((cache["graph_probs"] > 0.5) == (labels > 0.5)).sum())
-            grads = _backward_from_cache(model, cache, labels, splits, A_T)
+            grads = _backward_from_cache(model, cache, labels, splits)
             t_step += 1
             lr_t = config.learning_rate * math.sqrt(
                 1.0 - config.beta2**t_step
@@ -546,8 +534,8 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         val_acc: float | None = None
         if val_idx:
             vt = [tensors[i] for i in val_idx]
-            X, A, _, counts, labels, _ = _assemble_batch(vt)
-            cache = _forward_full(model, X, A, False, None, segments=counts)
+            X, A, counts, labels, _ = _assemble_batch(vt)
+            cache = _forward_full(model, X, A, counts)
             val_acc = _accuracy(cache["graph_probs"], labels)
         history.epochs.append(
             {
@@ -566,8 +554,8 @@ def predict_graphs(model: GcnModel, graphs: Sequence[CodeGraph]) -> np.ndarray:
     tensors = [
         _sample_tensors(g, model.config, 0.0, None) for g in graphs
     ]
-    X, A, _, counts, _, _ = _assemble_batch(tensors)
-    cache = _forward_full(model, X, A, False, None, segments=counts)
+    X, A, counts, _, _ = _assemble_batch(tensors)
+    cache = _forward_full(model, X, A, counts)
     return cache["graph_probs"].copy()
 
 
@@ -611,30 +599,34 @@ def gcn_from_doc(doc: dict) -> GcnModel:
         raise CheckpointError("bad GCN checkpoint version")
     if doc.get("kind") != "gcn":
         raise CheckpointError("checkpoint is not a GCN")
+    raw_config, raw_weights = doc.get("config"), doc.get("weights")
+    if not isinstance(raw_config, dict) or not isinstance(raw_weights, dict):
+        raise CheckpointError("GCN checkpoint needs config and weights objects")
     try:
-        config = GcnConfig(**doc["config"])
-        weights = {k: np.array(v, dtype=np.float64) for k, v in doc["weights"].items()}
+        config = GcnConfig(**raw_config)
+        weights = {k: np.array(v, dtype=np.float64) for k, v in raw_weights.items()}
         mu = np.array(doc.get("feature_mu", np.zeros(config.input_dim)), dtype=np.float64)
         sigma = np.array(doc.get("feature_sigma", np.ones(config.input_dim)), dtype=np.float64)
-    except (KeyError, TypeError) as exc:
+    except (TypeError, ValueError, DataError) as exc:
         raise CheckpointError(f"malformed GCN checkpoint: {exc}") from exc
     if mu.shape != (config.input_dim,) or sigma.shape != (config.input_dim,):
         raise CheckpointError("feature standardization has wrong shape")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
         raise CheckpointError("feature standardization is not finite and positive")
     model = GcnModel(config=config, weights=weights, feature_mu=mu, feature_sigma=sigma)
+    if set(weights) != set(model.param_names()):
+        raise CheckpointError(f"checkpoint weights must be exactly {model.param_names()}")
     d_in = config.input_dim
     for layer in range(1, config.layers + 1):
-        W = weights.get(f"W{layer}")
-        b = weights.get(f"b{layer}")
-        if W is None or b is None or W.shape != (d_in, config.units) or b.shape != (config.units,):
+        W, b = weights[f"W{layer}"], weights[f"b{layer}"]
+        if W.shape != (d_in, config.units) or b.shape != (config.units,):
             raise CheckpointError(f"layer {layer} weights have wrong shape")
         d_in = config.units
     for head in ("wg", "wn"):
-        if weights.get(head) is None or weights[head].shape != (config.units,):
+        if weights[head].shape != (config.units,):
             raise CheckpointError(f"head {head} has wrong shape")
     for bias in ("bg", "bn"):
-        if weights.get(bias) is None or weights[bias].shape != (1,):
+        if weights[bias].shape != (1,):
             raise CheckpointError(f"bias {bias} has wrong shape")
     if any(not np.all(np.isfinite(v)) for v in weights.values()):
         raise CheckpointError("checkpoint weights are not finite")

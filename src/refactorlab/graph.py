@@ -68,6 +68,12 @@ EDGE_FEATURE_NAMES: tuple[str, ...] = (
 NODE_FEATURE_DIM = 12
 EDGE_FEATURE_DIM = 6
 
+# the feature columns read outside graph building
+NODE_LINES = NODE_FEATURE_NAMES.index("lines_in_subtree")
+NODE_SUBTREE_CC = NODE_FEATURE_NAMES.index("subtree_cyclomatic")
+EDGE_WEIGHT = EDGE_FEATURE_NAMES.index("weight")
+EDGE_STRENGTH = EDGE_FEATURE_NAMES.index("strength")
+
 _FLOW_KINDS = frozenset({"Parent", "NextSibling", "ControlFlow"})
 
 

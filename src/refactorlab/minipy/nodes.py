@@ -75,18 +75,17 @@ def expr_reads(expr: Expr | None) -> list[str]:
     statement that contains it.
     """
     out: list[str] = []
-
-    def walk(e: Expr | None) -> None:
-        if e is None:
-            return
+    # an explicit stack with the left operand on top: operator chains nest
+    # far deeper than the recursion limit
+    stack = [expr]
+    while stack:
+        e = stack.pop()
         if isinstance(e, Name):
             out.append(e.id)
         elif isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
+            stack.append(e.right)
+            stack.append(e.left)
         # Num contributes nothing; CallRef reads belong to the Call node
-
-    walk(expr)
     return out
 
 

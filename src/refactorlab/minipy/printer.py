@@ -23,7 +23,13 @@ def _render_expr(expr: Expr) -> str:
     if isinstance(expr, CallRef):
         return _render_call(expr.node)
     if isinstance(expr, BinOp):
-        return f"{_render_expr(expr.left)} {expr.op} {_render_expr(expr.right)}"
+        # the parser nests operator chains to the left, so walk that spine
+        # in a loop: one recursion per operator would overflow on long chains
+        tail: list[str] = []
+        while isinstance(expr, BinOp):
+            tail.append(f" {expr.op} {_render_expr(expr.right)}")
+            expr = expr.left
+        return _render_expr(expr) + "".join(reversed(tail))
     raise TypeError(f"unknown expression {expr!r}")
 
 

@@ -88,15 +88,3 @@ class Rng:
         for i in range(len(items) - 1, 0, -1):
             j = self.randrange(i + 1)
             items[i], items[j] = items[j], items[i]
-
-    def sample_indices(self, n: int, k: int) -> list[int]:
-        """k distinct indices from range(n), order randomized."""
-        if k > n:
-            raise ValueError("sample larger than population")
-        pool = list(range(n))
-        self.shuffle(pool)
-        return pool[:k]
-
-    def fork(self) -> "Rng":
-        """Child generator seeded from this one, for independent streams."""
-        return Rng(self.next_u64())

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Final
 
-from .graph import CodeGraph
+from .graph import NODE_LINES, NODE_SUBTREE_CC, CodeGraph
 from .metrics import FLAT_COUPLING, FlatFeatures, coupling, cyclomatic
 from .minipy.nodes import AstTree
 
@@ -21,10 +21,6 @@ HIGH_COMPLEXITY_CC: Final = 10.0
 HIGH_COUPLING_DEPS: Final = 5.0
 
 _RULE_ORDER = {"LongMethod": 0, "HighComplexity": 1, "HighCoupling": 2}
-
-# node feature indices used by the graph-only path
-_F_LINES = 0
-_F_SUBTREE_CC = 9
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,7 @@ class Finding:
 
 
 def analyze_rules(
-    tree: AstTree,
-    graph: CodeGraph | None = None,
-    project_index: dict[str, str] | None = None,
+    tree: AstTree, project_index: dict[str, str] | None = None
 ) -> list[Finding]:
     """All rule violations, ordered by (rule, target id)."""
     findings: list[Finding] = []
@@ -96,13 +90,9 @@ def analyze_rules(
     return findings
 
 
-def classify_rules(
-    tree: AstTree,
-    graph: CodeGraph | None = None,
-    project_index: dict[str, str] | None = None,
-) -> int:
+def classify_rules(tree: AstTree, project_index: dict[str, str] | None = None) -> int:
     """1 (refactor) iff any rule fires, else 0 (keep)."""
-    return 1 if analyze_rules(tree, graph, project_index) else 0
+    return 1 if analyze_rules(tree, project_index) else 0
 
 
 def classify_rules_graph(graph: CodeGraph, flat: FlatFeatures) -> int:
@@ -117,9 +107,9 @@ def classify_rules_graph(graph: CodeGraph, flat: FlatFeatures) -> int:
     for node in graph.nodes:
         if node.kind != "FunctionDef":
             continue
-        if node.features[_F_LINES] > LONG_METHOD_LINES:
+        if node.features[NODE_LINES] > LONG_METHOD_LINES:
             return 1
-        if node.features[_F_SUBTREE_CC] > HIGH_COMPLEXITY_CC:
+        if node.features[NODE_SUBTREE_CC] > HIGH_COMPLEXITY_CC:
             return 1
     if flat.values[FLAT_COUPLING] > HIGH_COUPLING_DEPS:
         return 1

@@ -17,15 +17,11 @@ from __future__ import annotations
 import html
 from dataclasses import dataclass
 
-from .graph import CodeGraph, EdgeRecord
+from .graph import EDGE_WEIGHT, NODE_SUBTREE_CC, CodeGraph, EdgeRecord
 from .metrics import coupling, cyclomatic
 from .minipy.nodes import AstTree
 
 _CONTROL_EDGES = frozenset({"Parent", "NextSibling", "ControlFlow"})
-
-# node feature columns used when only a graph (no tree) is available
-_F_SUBTREE_CC = 9
-_F_WEIGHT = 2
 
 
 @dataclass(frozen=True)
@@ -87,7 +83,7 @@ def _node_color(
 
 def _edge_style(edge: EdgeRecord, style: RenderStyle) -> tuple[str, int]:
     color = style.control_color if edge.kind in _CONTROL_EDGES else style.data_color
-    width = 3 if edge.features[_F_WEIGHT] > style.thick_weight_threshold else 1
+    width = 3 if edge.features[EDGE_WEIGHT] > style.thick_weight_threshold else 1
     return color, width
 
 
@@ -105,7 +101,7 @@ def to_dot(
     style = style or RenderStyle()
     if metrics is None:
         metrics = {
-            n.id: {"cyclomatic": float(n.features[_F_SUBTREE_CC]), "coupling": 0.0}
+            n.id: {"cyclomatic": float(n.features[NODE_SUBTREE_CC]), "coupling": 0.0}
             for n in graph.nodes
             if n.kind == "FunctionDef"
         }
@@ -176,7 +172,7 @@ def _svg_for(
 ) -> str:
     if metrics is None:
         metrics = {
-            n.id: {"cyclomatic": float(n.features[_F_SUBTREE_CC]), "coupling": 0.0}
+            n.id: {"cyclomatic": float(n.features[NODE_SUBTREE_CC]), "coupling": 0.0}
             for n in graph.nodes
             if n.kind == "FunctionDef"
         }
@@ -223,10 +219,10 @@ def _caption_value(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None
         cc = max(m["cyclomatic"] for m in metrics.values())
         cp = max(m["coupling"] for m in metrics.values())
         return f"CC {cc:g}, coupling {cp:g}"
-    fn_cc = [n.features[_F_SUBTREE_CC] for n in graph.nodes if n.kind == "FunctionDef"]
+    fn_cc = [n.features[NODE_SUBTREE_CC] for n in graph.nodes if n.kind == "FunctionDef"]
     if fn_cc:
         return f"CC {max(fn_cc):g}"
-    root_cc = graph.nodes[0].features[_F_SUBTREE_CC] if graph.nodes else 0.0
+    root_cc = graph.nodes[0].features[NODE_SUBTREE_CC] if graph.nodes else 0.0
     return f"CC {root_cc:g}"
 
 

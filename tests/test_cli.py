@@ -135,6 +135,20 @@ def test_exit_parse_on_deep_nesting(tmp_path):
     assert "nesting deeper than" in err
 
 
+def test_long_operator_chain_is_parsed_and_graphed(tmp_path):
+    # 3,000 terms of one left-nested chain, far past the recursion limit;
+    # the chain reads an assigned name, so graph build walks it for data flow
+    source = "def f(a):\n    b = a\n    x = " + " + ".join(["b"] * 3000) + "\n    return x\n"
+    path = tmp_path / "chain.mpy"
+    path.write_text(source)
+    code, out, _ = run_cli(["parse", str(path)])
+    assert code == 0
+    assert out == source
+    code, out, _ = run_cli(["graph", str(path)])
+    assert code == 0
+    assert any(e["kind"] == "DataFlow" for e in json.loads(out)["graph"]["edges"])
+
+
 def test_exit_data_on_missing_file():
     code, _, err = run_cli(["metrics", "/no/such/file.mpy"])
     assert code == 3

@@ -61,20 +61,14 @@ def test_aggregation_matrix_by_hand():
     # tiny graph: Parent 0-1, 1-2, 1-3 (strength 1/2 each, one tree hop),
     # NextSibling 2-3 and DataFlow 2-3 (strength 1/3 each, two hops)
     A = aggregation_matrix(tiny_graph())
+    assert (A != A.T).nnz == 0  # symmetric: backward multiplies by A itself
     want = np.eye(4)
     want[0, 1] = want[1, 0] = 0.5
     want[1, 2] = want[2, 1] = 0.5
     want[1, 3] = want[3, 1] = 0.5
     want[2, 3] = want[3, 2] = 2 / 3  # two parallel edges add their strengths
-    assert np.allclose(A, want, atol=1e-15)
+    assert np.allclose(A.toarray(), want, atol=1e-15)
     assert A.shape == (4, 4)
-
-
-def test_aggregation_matrix_symmetric_norm_rows():
-    A = aggregation_matrix(tiny_graph(), symmetric_norm=True)
-    plain = aggregation_matrix(tiny_graph())
-    d = plain.sum(axis=1)
-    assert np.allclose(A, plain / np.sqrt(np.outer(d, d)), atol=1e-15)
 
 
 # --- layer forward vs straight-line oracle --------------------------------------------
@@ -115,7 +109,7 @@ def test_layer_forward_includes_self_loop_via_aggregation():
     # with identity weights and the real aggregation matrix, an isolated
     # feature propagates to itself exactly once
     graph = tiny_graph()
-    A = aggregation_matrix(graph)
+    A = aggregation_matrix(graph).toarray()
     H = np.eye(4)
     out = gcn_layer_forward(H, A, np.eye(4), np.zeros(4))
     assert out[0, 0] == 1.0  # the self-loop term
@@ -260,6 +254,8 @@ def test_predict_graphs_matches_forward(small_dataset):
     batch = predict_graphs(model, graphs)
     single = [forward(model, g).graph_prob for g in graphs]
     assert np.allclose(batch, single, atol=1e-12)
+    # a batch of one runs the very same arithmetic as forward
+    assert all(predict_graphs(model, [g])[0] == p for g, p in zip(graphs, single))
 
 
 # --- checkpoints ------------------------------------------------------------------------
@@ -303,6 +299,17 @@ def test_checkpoint_rejects_corruption():
     corrupt(lambda d: d["weights"]["b1"].__setitem__(0, float("nan")))
     corrupt(lambda d: d["feature_sigma"].__setitem__(0, 0.0))
     corrupt(lambda d: d["feature_mu"].pop())
+    corrupt(lambda d: d["config"].update(layers=0))
+    corrupt(lambda d: d["config"].update(layers=-1))
+    corrupt(lambda d: d["config"].update(layers=True))
+    corrupt(lambda d: d["config"].update(dropout=2.0))
+    corrupt(lambda d: d["weights"]["W1"][0].__setitem__(0, "x"))
+    corrupt(lambda d: d["feature_mu"].__setitem__(0, "x"))
+    corrupt(lambda d: d["feature_sigma"].__setitem__(0, "x"))
+    corrupt(lambda d: d.update(weights=[1]))
+    corrupt(lambda d: d["weights"].update(W9=[[1.0]]))
+    # a version-1 checkpoint still carrying the dropped normalization flag
+    corrupt(lambda d: d.update(version="1", config={**d["config"], "symmetric_norm": False}))
 
 
 def test_init_model_shapes_follow_config():

@@ -108,25 +108,3 @@ def test_shuffle_deterministic():
     Rng(99).shuffle(a)
     Rng(99).shuffle(b)
     assert a == b
-
-
-def test_sample_indices_distinct():
-    rng = Rng(4)
-    picked = rng.sample_indices(10, 4)
-    assert len(picked) == 4
-    assert len(set(picked)) == 4
-    assert all(0 <= i < 10 for i in picked)
-    with pytest.raises(ValueError):
-        rng.sample_indices(3, 5)
-
-
-def test_fork_gives_independent_streams():
-    parent = Rng(42)
-    child = parent.fork()
-    parent_next = [parent.next_u64() for _ in range(5)]
-    child_next = [child.next_u64() for _ in range(5)]
-    assert parent_next != child_next
-    # forking is itself deterministic
-    p2 = Rng(42)
-    c2 = p2.fork()
-    assert [c2.next_u64() for _ in range(5)] == child_next
