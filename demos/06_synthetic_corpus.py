@@ -5,7 +5,7 @@ loop enclosing two or more decisions, with real work after it), three
 kinds of decoys that match them on flat statistics, and neutral filler.
 Labels are recomputed structurally, never taken from the family tag.
 The pipeline then dedups, filters, caps outliers, oversamples the
-minority class, and produces a stratified train/test split with folds.
+minority class, and produces a stratified train/test split.
 """
 
 from collections import Counter
@@ -42,8 +42,7 @@ labels = Counter(s.label for s in ds.samples)
 print(f"samples: {len(ds.samples)} "
       f"(refactor {labels[1]}, keep {labels[0]}, "
       f"minority share {labels[1] / len(ds.samples):.2f})")
-print(f"split: {len(ds.split['train'])} train / {len(ds.split['test'])} test; "
-      f"folds: {[len(f) for f in ds.folds]}")
+print(f"split: {len(ds.split['train'])} train / {len(ds.split['test'])} test")
 
 # --- the manifest round-trips byte-for-byte ---------------------------------
 

@@ -31,7 +31,6 @@ from typing import Final, Sequence
 
 from .corpus import (
     DEFAULT_CAP_PERCENTILE,
-    DEFAULT_FOLDS,
     DEFAULT_TARGET_MINORITY,
     DEFAULT_TEST_FRACTION,
     Dataset,
@@ -72,7 +71,7 @@ from .gcn import (
     train,
 )
 from .graph import build_graph, emit_graph_doc
-from .metrics import flat_features, metrics_report
+from .metrics import metrics_report
 from .minipy.astdoc import emit_ast_doc
 from .minipy.parser import parse_source
 from .minipy.printer import pretty_print
@@ -314,7 +313,6 @@ def _cmd_corpus_build(args: argparse.Namespace) -> int:
         test_fraction=args.test_fraction,
         target_minority=args.target_minority,
         cap_percentile=args.cap_percentile,
-        folds=args.folds,
         provenance=prov,
     )
     labels = [s.label for s in dataset.samples]
@@ -415,7 +413,7 @@ def _report_text(report) -> str:
 
 
 def _cmd_suggest(args: argparse.Namespace) -> int:
-    model = _load_gcn_checkpoint(args.model)
+    model = gcn_from_doc(_read_json(args.model, "gnn checkpoint"))
     tree = _parse_file(args.file)
     graph = build_graph(tree)
     suggestion = suggest_split(model, graph, split_points(tree))
@@ -445,16 +443,12 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_gcn_checkpoint(path: str) -> GcnModel:
-    return gcn_from_doc(_read_json(path, "gnn checkpoint"))
-
-
 def _cmd_viz(args: argparse.Namespace) -> int:
     tree = _parse_file(args.file)
     before = build_graph(tree)
     split_node: int | None = args.split
     if split_node is None and args.model:
-        model = _load_gcn_checkpoint(args.model)
+        model = gcn_from_doc(_read_json(args.model, "gnn checkpoint"))
         suggestion = suggest_split(model, before, split_points(tree))
         split_node = suggestion.node_id
         if split_node is None:
@@ -520,7 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
     build.add_argument("--target-minority", type=float, default=DEFAULT_TARGET_MINORITY)
     build.add_argument("--cap-percentile", type=float, default=DEFAULT_CAP_PERCENTILE)
-    build.add_argument("--folds", type=int, default=DEFAULT_FOLDS)
     build.set_defaults(func=_cmd_corpus_build)
 
     train_p = subs.add_parser("train", help="fit a model on a dataset manifest")
@@ -560,7 +553,6 @@ def build_parser() -> argparse.ArgumentParser:
     viz_p.add_argument("--model", default=None, help="gnn checkpoint; picks the split point")
     viz_p.add_argument("--split", type=int, default=None, help="split at this node id")
     viz_p.add_argument("--out", required=True, help=".dot or .html path; '-' for stdout")
-    viz_p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     viz_p.set_defaults(func=_cmd_viz)
 
     return parser

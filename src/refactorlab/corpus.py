@@ -1,4 +1,4 @@
-"""Dataset construction: ingest, dedup, filter, label, cap, balance, split, fold.
+"""Dataset construction: ingest, dedup, filter, label, cap, balance, split.
 
 The pipeline turns a pile of source files into a labeled, balanced,
 pre-split dataset ready for the rule engine, the decision tree, and the
@@ -34,7 +34,15 @@ from .errors import (
     SingleClassError,
     TooSmallError,
 )
-from .graph import CodeGraph, NODE_FEATURE_DIM, build_graph, emit_graph_doc, ingest_graph_doc
+from .graph import (
+    NODE_FEATURE_DIM,
+    CodeGraph,
+    build_graph,
+    check_numbers,
+    emit_graph_doc,
+    ingest_graph_doc,
+    is_int,
+)
 from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, flat_features
 from .minipy.nodes import AstNode, AstTree, count_decisions
 from .minipy.parser import parse_source
@@ -43,13 +51,12 @@ from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-MANIFEST_VERSION = "2"
+MANIFEST_VERSION = "3"
 BUNDLE_VERSION = "1"
 
 DEFAULT_TEST_FRACTION = 0.20
 DEFAULT_TARGET_MINORITY = 0.40
 DEFAULT_CAP_PERCENTILE = 99.0
-DEFAULT_FOLDS = 5
 SMOTE_NEIGHBORS = 5
 # Relative amplitude of the node-feature jitter applied to oversampled
 # graph copies; the interpolation coefficient u scales it.
@@ -123,11 +130,10 @@ class LabeledSample:
 
 @dataclass
 class Dataset:
-    """Samples plus a train/test split, optional folds, and provenance."""
+    """Samples plus a train/test split and provenance."""
 
     samples: list[LabeledSample]
     split: dict[str, list[int]]
-    folds: list[list[int]] | None
     seed: int
     provenance: Provenance
 
@@ -139,15 +145,6 @@ class Dataset:
             raise InvariantError("train and test splits overlap")
         if train | test != set(range(n)):
             raise InvariantError("split does not cover all samples")
-        if self.folds is not None:
-            seen: set[int] = set()
-            for fold in self.folds:
-                fold_set = set(fold)
-                if fold_set & seen:
-                    raise InvariantError("folds overlap")
-                seen |= fold_set
-            if seen != set(range(n)):
-                raise InvariantError("folds do not cover all samples")
 
 
 # --- ingest ------------------------------------------------------------------
@@ -407,34 +404,6 @@ def split_indices(
     return {"train": sorted(train), "test": sorted(test)}
 
 
-def kfold_indices(
-    labels: Sequence[int],
-    k: int = DEFAULT_FOLDS,
-    seed: int = 0,
-) -> list[list[int]]:
-    """Stratified k folds with sizes differing by at most one.
-
-    Each class's shuffled indices are dealt round-robin, the deal cursor
-    carrying over between classes so the overall fold sizes stay within
-    one of each other as well.
-    """
-    n = len(labels)
-    if k < 2:
-        raise DataError(f"k must be >= 2, got {k}")
-    if n < k:
-        raise TooSmallError(f"cannot make {k} folds from {n} samples")
-    rng = Rng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    cursor = 0
-    for c in sorted(_class_indices(labels)):
-        idx = _class_indices(labels)[c]
-        rng.shuffle(idx)
-        for i in idx:
-            folds[cursor % k].append(i)
-            cursor += 1
-    return [sorted(f) for f in folds]
-
-
 # --- full pipeline -----------------------------------------------------------
 
 
@@ -444,13 +413,12 @@ def build_dataset(
     test_fraction: float = DEFAULT_TEST_FRACTION,
     target_minority: float = DEFAULT_TARGET_MINORITY,
     cap_percentile: float = DEFAULT_CAP_PERCENTILE,
-    folds: int = DEFAULT_FOLDS,
     provenance: Provenance | None = None,
 ) -> Dataset:
     """Run the whole pipeline on triaged units.
 
     Stages, in order: dedup, trivial filter, structural labeling, outlier
-    capping, minority oversampling, stratified split, stratified folds.
+    capping, minority oversampling, stratified split.
     ``provenance`` carries ingest counts from an earlier triage stage;
     when omitted the units are assumed all ingested and parseable.
     """
@@ -470,7 +438,6 @@ def build_dataset(
     master = Rng(seed)
     seed_smote = master.next_u64()
     seed_split = master.next_u64()
-    seed_fold = master.next_u64()
 
     labels = [s.label for s in samples]
     if 0 < sum(labels) < len(labels):
@@ -479,16 +446,9 @@ def build_dataset(
 
     labels = [s.label for s in samples]
     split = split_indices(labels, test_fraction, seed=seed_split)
-    fold_assign = kfold_indices(labels, folds, seed=seed_fold) if len(labels) >= folds else None
-    ds = Dataset(samples=samples, split=split, folds=fold_assign, seed=seed, provenance=prov)
+    ds = Dataset(samples=samples, split=split, seed=seed, provenance=prov)
     ds.validate()
     return ds
-
-
-def build_dataset_from_dir(path: str | Path, seed: int = 42, **kwargs: Any) -> Dataset:
-    """ingest_dir + build_dataset in one call."""
-    units, prov = ingest_dir(path)
-    return build_dataset(units, seed=seed, provenance=prov, **kwargs)
 
 
 def synth_corpus(n: int, seed: int = 42, **kwargs: Any) -> Dataset:
@@ -567,9 +527,7 @@ def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
     if "graph" not in doc or "flat" not in doc or "label" not in doc:
         raise SchemaError(f"{where} needs graph, flat, and label")
     graph = ingest_graph_doc(doc["graph"])
-    flat_raw = doc["flat"]
-    if not isinstance(flat_raw, list) or len(flat_raw) != FLAT_DIM:
-        raise SchemaError(f"{where}.flat must be a {FLAT_DIM}-element array")
+    flat = check_numbers(doc["flat"], FLAT_DIM, f"{where}.flat")
     label = doc["label"]
     if label not in (0, 1) or isinstance(label, bool):
         raise SchemaError(f"{where}.label must be 0 or 1")
@@ -589,7 +547,7 @@ def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
     try:
         return LabeledSample(
             graph=graph,
-            flat=FlatFeatures([float(v) for v in flat_raw]),
+            flat=FlatFeatures(flat),
             label=label,
             split_node=split_node,
             source=source,
@@ -607,11 +565,10 @@ def dataset_to_doc(dataset: Dataset) -> dict:
         "provenance": dataset.provenance.to_doc(),
         "samples": [_sample_to_doc(s) for s in dataset.samples],
         "split": {"train": list(dataset.split["train"]), "test": list(dataset.split["test"])},
-        "folds": [list(f) for f in dataset.folds] if dataset.folds is not None else None,
     }
 
 
-_MANIFEST_KEYS = {"version", "seed", "provenance", "samples", "split", "folds"}
+_MANIFEST_KEYS = {"version", "seed", "provenance", "samples", "split"}
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
@@ -638,14 +595,10 @@ def dataset_from_doc(doc: dict) -> Dataset:
         or not all(isinstance(v, list) for v in raw_split.values())
     ):
         raise SchemaError("manifest split must hold train and test arrays")
-    split = {k: [int(i) for i in v] for k, v in raw_split.items()}
-    raw_folds = doc.get("folds")
-    folds: list[list[int]] | None = None
-    if raw_folds is not None:
-        if not isinstance(raw_folds, list) or not all(isinstance(f, list) for f in raw_folds):
-            raise SchemaError("manifest folds must be an array of arrays")
-        folds = [[int(i) for i in f] for f in raw_folds]
-    ds = Dataset(samples=samples, split=split, folds=folds, seed=seed, provenance=prov)
+    if not all(is_int(i) for v in raw_split.values() for i in v):
+        raise SchemaError("manifest split entries must be integers")
+    split = {k: list(v) for k, v in raw_split.items()}
+    ds = Dataset(samples=samples, split=split, seed=seed, provenance=prov)
     try:
         ds.validate()
     except InvariantError as exc:

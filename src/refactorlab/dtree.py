@@ -8,9 +8,8 @@ deterministic.  Descent sends x[f] <= t to the left child.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -19,9 +18,6 @@ from .errors import CheckpointError, DataError, EmptyInputError
 
 DEFAULT_MAX_DEPTH = 20
 DEFAULT_MIN_SAMPLES_SPLIT = 5
-
-# ten integer depths spanning the tuned 5..25 range
-GRID_DEPTHS: tuple[int, ...] = (5, 7, 9, 12, 14, 16, 18, 20, 23, 25)
 
 CHECKPOINT_VERSION = "1"
 
@@ -37,10 +33,21 @@ def gini(labels: Sequence[int]) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
+def _is_count(value: object) -> bool:
+    """A non-negative integer that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass
 class DTreeParams:
-    max_depth: int | None = DEFAULT_MAX_DEPTH  # None = unbounded
+    max_depth: int = DEFAULT_MAX_DEPTH
     min_samples_split: int = DEFAULT_MIN_SAMPLES_SPLIT
+
+    def __post_init__(self) -> None:
+        for name in ("max_depth", "min_samples_split"):
+            value = getattr(self, name)
+            if not _is_count(value):
+                raise DataError(f"{name} must be an integer >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
         return {
@@ -101,9 +108,8 @@ def train_dtree(
     X: Sequence[Sequence[float]],
     y: Sequence[int],
     params: DTreeParams | None = None,
-    seed: int = 0,
 ) -> DTreeModel:
-    """Grow a tree greedily; deterministic for given inputs (seed unused)."""
+    """Grow a tree greedily; deterministic for given inputs."""
     params = params or DTreeParams()
     Xa = np.asarray(X, dtype=np.float64)
     ya = np.asarray(y, dtype=np.int64)
@@ -121,12 +127,7 @@ def train_dtree(
         ones = int(ya[rows].sum())
         n = len(rows)
         prob = ones / n
-        stop = (
-            ones == 0
-            or ones == n
-            or n < params.min_samples_split
-            or (params.max_depth is not None and depth >= params.max_depth)
-        )
+        stop = ones == 0 or ones == n or n < params.min_samples_split or depth >= params.max_depth
         split = None if stop else _best_split(Xa[rows], ya[rows])
         if split is None:
             nodes[idx] = {"prob_refactor": prob}
@@ -169,98 +170,50 @@ def dtree_to_doc(model: DTreeModel) -> dict:
     }
 
 
+def _is_number(value: object) -> bool:
+    """An int or a finite float, not a bool."""
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
+
+
 def dtree_from_doc(doc: dict) -> DTreeModel:
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError("bad decision-tree checkpoint version")
     if doc.get("kind") != "dtree":
         raise CheckpointError("checkpoint is not a decision tree")
+    raw_params, nodes, n_features = doc.get("params"), doc.get("nodes"), doc.get("n_features")
+    if not isinstance(raw_params, dict) or not isinstance(nodes, list):
+        raise CheckpointError("decision-tree checkpoint needs a params object and a nodes array")
     try:
         params = DTreeParams(
-            max_depth=doc["params"]["max_depth"],
-            min_samples_split=doc["params"]["min_samples_split"],
+            max_depth=raw_params.get("max_depth"),
+            min_samples_split=raw_params.get("min_samples_split"),
         )
-        model = DTreeModel(
-            nodes=list(doc["nodes"]), params=params, n_features=int(doc["n_features"])
-        )
-    except (KeyError, TypeError) as exc:
+    except DataError as exc:
         raise CheckpointError(f"malformed decision-tree checkpoint: {exc}") from exc
-    if model.n_features < 1:
-        raise CheckpointError(f"n_features must be >= 1, got {model.n_features}")
-    if not model.nodes:
+    if not _is_count(n_features) or n_features < 1:
+        raise CheckpointError(f"n_features must be an integer >= 1, got {n_features!r}")
+    if not nodes:
         raise CheckpointError("checkpoint has no nodes")
-    count = len(model.nodes)
-    for i, node in enumerate(model.nodes):
+    count = len(nodes)
+    for i, node in enumerate(nodes):
+        if not isinstance(node, dict):
+            raise CheckpointError(f"node {i} must be an object")
         if "prob_refactor" in node:
-            if not 0.0 <= node["prob_refactor"] <= 1.0:
-                raise CheckpointError("leaf probability outside [0,1]")
+            p = node["prob_refactor"]
+            if not _is_number(p) or not 0.0 <= p <= 1.0:
+                raise CheckpointError(f"node {i} leaf probability {p!r} outside [0,1]")
         elif all(k in node for k in ("feature_index", "threshold", "left", "right")):
-            if not 0 <= node["feature_index"] < model.n_features:
-                raise CheckpointError(f"node {i} feature index out of range")
-            if not math.isfinite(node["threshold"]):
-                raise CheckpointError(f"node {i} threshold is not finite")
+            f = node["feature_index"]
+            if not _is_count(f) or f >= n_features:
+                raise CheckpointError(f"node {i} feature index {f!r} out of range")
+            if not _is_number(node["threshold"]):
+                raise CheckpointError(f"node {i} threshold is not a finite number")
             for side in ("left", "right"):
                 child = node[side]
-                if not isinstance(child, int) or not i < child < count:
+                if not _is_count(child) or not i < child < count:
                     raise CheckpointError(f"node {i} {side} child {child!r} invalid")
         else:
-            raise CheckpointError("internal node missing fields")
-    return model
-
-
-def save_dtree(model: DTreeModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(dtree_to_doc(model), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def load_dtree(path: str) -> DTreeModel:
-    with open(path, encoding="utf-8") as fh:
-        return dtree_from_doc(json.load(fh))
-
-
-# --- depth grid search -----------------------------------------------------------
-
-
-def _f1(preds: np.ndarray, labels: np.ndarray) -> float:
-    tp = int(np.sum((preds == 1) & (labels == 1)))
-    fp = int(np.sum((preds == 1) & (labels == 0)))
-    fn = int(np.sum((preds == 0) & (labels == 1)))
-    denom = 2 * tp + fp + fn
-    return 2 * tp / denom if denom else 0.0
-
-
-def grid_search_dtree(
-    X: Sequence[Sequence[float]],
-    y: Sequence[int],
-    folds: Sequence[int],
-    depths: Sequence[int] = GRID_DEPTHS,
-) -> tuple[DTreeParams, list[dict]]:
-    """Pick max_depth by k-fold mean F1; ties go to the smallest depth.
-
-    ``folds`` assigns each row to a fold id (as produced by the corpus
-    k-fold splitter).  Returns the winning params and the score table.
-    """
-    Xa = np.asarray(X, dtype=np.float64)
-    ya = np.asarray(y, dtype=np.int64)
-    fa = np.asarray(folds, dtype=np.int64)
-    if len(fa) != len(ya):
-        raise DataError("fold assignment length mismatch")
-    table: list[dict] = []
-    best: tuple[float, int] | None = None
-    for depth in depths:
-        scores = []
-        for fold in sorted(set(int(v) for v in fa)):
-            test_mask = fa == fold
-            if test_mask.all() or not test_mask.any():
-                continue
-            model = train_dtree(
-                Xa[~test_mask], ya[~test_mask], DTreeParams(max_depth=depth)
-            )
-            preds = (predict_batch(model, Xa[test_mask]) > 0.5).astype(np.int64)
-            scores.append(_f1(preds, ya[test_mask]))
-        mean_f1 = float(np.mean(scores)) if scores else 0.0
-        table.append({"max_depth": depth, "mean_f1": mean_f1})
-        if best is None or mean_f1 > best[0]:
-            best = (mean_f1, depth)
-    assert best is not None
-    return DTreeParams(max_depth=best[1]), table
+            raise CheckpointError(f"node {i} is neither a leaf nor a complete internal node")
+    return DTreeModel(nodes=list(nodes), params=params, n_features=n_features)

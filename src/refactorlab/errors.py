@@ -70,7 +70,7 @@ class CheckpointError(DataError):
 
 
 class TooSmallError(DataError):
-    """Not enough samples to split or fold."""
+    """Not enough samples to split."""
 
 
 class SingleClassError(DataError):

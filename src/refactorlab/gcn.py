@@ -24,7 +24,6 @@ reproduces training bit for bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -43,6 +42,13 @@ from .graph import EDGE_STRENGTH, CodeGraph
 from .rng import Rng
 
 CHECKPOINT_VERSION = "2"
+
+# Adam moment decays and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+# share of the train split held out to report validation accuracy
+VAL_FRACTION = 0.1
 
 
 @dataclass(frozen=True)
@@ -76,10 +82,6 @@ class TrainConfig:
     epochs: int = 75
     batch_size: int = 128
     seed: int = 42
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    val_fraction: float = 0.1
 
     def __post_init__(self) -> None:
         if self.learning_rate <= 0:
@@ -116,13 +118,6 @@ class SplitSuggestion:
     node_id: int | None
     score: float
     eligible: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "node_id": self.node_id,
-            "score": self.score,
-            "eligible": self.eligible,
-        }
 
 
 # --- initialization -----------------------------------------------------------
@@ -286,15 +281,6 @@ def forward(model: GcnModel, graph: CodeGraph) -> ForwardResult:
 
 # --- loss and backward ---------------------------------------------------------------
 
-_CLAMP = 1e-12
-
-
-def loss_bce(pred: float, label: int) -> float:
-    """Binary cross-entropy with the prediction clamped away from 0 and 1."""
-    p = min(max(pred, _CLAMP), 1.0 - _CLAMP)
-    return -(label * math.log(p) + (1 - label) * math.log(1.0 - p))
-
-
 def _bce_logits(z: np.ndarray, t: np.ndarray) -> np.ndarray:
     """BCE of sigmoid(z) against t, computed as softplus(z) - t*z.
 
@@ -452,9 +438,6 @@ def _assemble_batch(tensors: list[_SampleTensors]):
 class TrainHistory:
     epochs: list[dict] = field(default_factory=list)
 
-    def to_list(self) -> list[dict]:
-        return self.epochs
-
 
 def _accuracy(probs: np.ndarray, labels: np.ndarray) -> float:
     preds = (probs > 0.5).astype(np.float64)
@@ -475,8 +458,8 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
     rng = Rng(config.seed)
     train_idx = list(split["train"])
     rng.shuffle(train_idx)
-    n_val = int(len(train_idx) * config.val_fraction)
-    if config.val_fraction > 0 and len(train_idx) >= 2 and n_val == 0:
+    n_val = int(len(train_idx) * VAL_FRACTION)
+    if len(train_idx) >= 2 and n_val == 0:
         n_val = 1
     val_idx = train_idx[:n_val]
     fit_idx = train_idx[n_val:]
@@ -522,14 +505,14 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
             grads = _backward_from_cache(model, cache, labels, splits)
             t_step += 1
             lr_t = config.learning_rate * math.sqrt(
-                1.0 - config.beta2**t_step
-            ) / (1.0 - config.beta1**t_step)
+                1.0 - ADAM_BETA2**t_step
+            ) / (1.0 - ADAM_BETA1**t_step)
             for name in model.param_names():
                 g = grads[name]
-                adam_m[name] = config.beta1 * adam_m[name] + (1 - config.beta1) * g
-                adam_v[name] = config.beta2 * adam_v[name] + (1 - config.beta2) * g * g
+                adam_m[name] = ADAM_BETA1 * adam_m[name] + (1 - ADAM_BETA1) * g
+                adam_v[name] = ADAM_BETA2 * adam_v[name] + (1 - ADAM_BETA2) * g * g
                 model.weights[name] -= lr_t * adam_m[name] / (
-                    np.sqrt(adam_v[name]) + config.eps
+                    np.sqrt(adam_v[name]) + ADAM_EPS
                 )
         val_acc: float | None = None
         if val_idx:
@@ -631,14 +614,3 @@ def gcn_from_doc(doc: dict) -> GcnModel:
     if any(not np.all(np.isfinite(v)) for v in weights.values()):
         raise CheckpointError("checkpoint weights are not finite")
     return model
-
-
-def save_gcn(model: GcnModel, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(gcn_to_doc(model), fh, sort_keys=True)
-        fh.write("\n")
-
-
-def load_gcn(path: str) -> GcnModel:
-    with open(path, encoding="utf-8") as fh:
-        return gcn_from_doc(json.load(fh))

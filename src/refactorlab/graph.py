@@ -59,7 +59,7 @@ NODE_FEATURE_NAMES: tuple[str, ...] = (
 EDGE_FEATURE_NAMES: tuple[str, ...] = (
     "type_index_scaled",  # kind index / 5
     "tree_distance",
-    "weight",  # multiplicity of (src, dst, kind)
+    "weight",  # always 1: build_graph emits each (src, dst, kind) once
     "flow_flag",  # 1 for Parent/NextSibling/ControlFlow
     "direction_flag",  # 1 when src id < dst id
     "strength",  # 1 / (1 + tree_distance)
@@ -71,7 +71,6 @@ EDGE_FEATURE_DIM = 6
 # the feature columns read outside graph building
 NODE_LINES = NODE_FEATURE_NAMES.index("lines_in_subtree")
 NODE_SUBTREE_CC = NODE_FEATURE_NAMES.index("subtree_cyclomatic")
-EDGE_WEIGHT = EDGE_FEATURE_NAMES.index("weight")
 EDGE_STRENGTH = EDGE_FEATURE_NAMES.index("strength")
 
 _FLOW_KINDS = frozenset({"Parent", "NextSibling", "ControlFlow"})
@@ -201,34 +200,19 @@ def _node_feature_table(
     return table
 
 
-def node_features(tree: AstTree, node_id: int) -> list[float]:
-    """12-dim feature vector for one node (degrees from the full edge set)."""
-    edges = _structural_edges(tree)
-    return _node_feature_table(tree, edges)[node_id]
-
-
 # --- edge features -------------------------------------------------------------------
 
 
-def edge_features(
-    tree: AstTree,
-    edges: list[tuple[int, int, str]],
-    edge: tuple[int, int, str],
-) -> list[float]:
-    """6-dim feature vector for one edge within a known edge collection.
-
-    ``weight`` counts how many edges in the collection share this edge's
-    (src, dst, kind); parallel records therefore share their weight.
-    """
+def edge_features(tree: AstTree, edge: tuple[int, int, str]) -> list[float]:
+    """6-dim feature vector for one (src, dst, kind) edge."""
     src, dst, kind = edge
     if kind not in EDGE_KIND_INDEX:
         raise SchemaError(f"unknown edge kind {kind!r}")
     distance = tree.tree_distance(src, dst)
-    weight = sum(1 for e in edges if e == edge)
     return [
         EDGE_KIND_INDEX[kind] / 5.0,
         float(distance),
-        float(weight),
+        1.0,
         1.0 if kind in _FLOW_KINDS else 0.0,
         1.0 if src < dst else 0.0,
         1.0 / (1.0 + distance),
@@ -257,7 +241,7 @@ def build_graph(
         for node in tree.nodes
     ]
     edges = [
-        EdgeRecord(src=s, dst=d, kind=k, features=edge_features(tree, triples, (s, d, k)))
+        EdgeRecord(src=s, dst=d, kind=k, features=edge_features(tree, (s, d, k)))
         for s, d, k in triples
     ]
     return CodeGraph(
@@ -278,16 +262,17 @@ _NODE_KEYS = {"id", "kind", "features"}
 _EDGE_KEYS = {"src", "dst", "kind", "features"}
 
 
-def _check_features(value: Any, dim: int, path: str) -> list[float]:
+def check_numbers(value: Any, dim: int, path: str) -> list[float]:
+    """``value`` as ``dim`` finite floats; SchemaError naming ``path`` otherwise."""
     if not isinstance(value, list) or len(value) != dim:
-        raise SchemaError(f"{path}.features must be a list of {dim} numbers")
+        raise SchemaError(f"{path} must be a list of {dim} numbers")
     out: list[float] = []
     for i, v in enumerate(value):
         if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}.features[{i}] is not a number")
+            raise SchemaError(f"{path}[{i}] is not a number")
         f = float(v)
         if not math.isfinite(f):
-            raise SchemaError(f"{path}.features[{i}] is not finite")
+            raise SchemaError(f"{path}[{i}] is not finite")
         out.append(f)
     return out
 
@@ -321,7 +306,7 @@ def _check_parent_tree(graph: CodeGraph) -> None:
             state[v] = 2
 
 
-def _is_int(value: Any) -> bool:
+def is_int(value: Any) -> bool:
     """An integer that is not a bool (JSON true/false load as bools)."""
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -343,7 +328,7 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
     ):
         raise SchemaError("source_digest must be 32 lowercase hex characters")
     label = doc.get("label")
-    if label is not None and (not _is_int(label) or label not in (0, 1)):
+    if label is not None and (not is_int(label) or label not in (0, 1)):
         raise SchemaError("label must be 0 or 1")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
@@ -356,17 +341,16 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
         unknown = set(rn) - _NODE_KEYS
         if unknown:
             raise SchemaError(f"{path} has unknown field {sorted(unknown)[0]!r}")
-        if not _is_int(rn.get("id")) or rn["id"] != i:
+        if not is_int(rn.get("id")) or rn["id"] != i:
             raise SchemaError(f"{path}.id must be {i} (ids dense, ascending)")
         kind = rn.get("kind")
         if kind not in NODE_KINDS:
             raise SchemaError(f"{path}.kind {kind!r} is not a node kind")
-        nodes.append(
-            NodeRecord(id=i, kind=kind, features=_check_features(rn.get("features"), NODE_FEATURE_DIM, path))
-        )
+        features = check_numbers(rn.get("features"), NODE_FEATURE_DIM, f"{path}.features")
+        nodes.append(NodeRecord(id=i, kind=kind, features=features))
     split_node = doc.get("split_node")
     if split_node is not None:
-        if not _is_int(split_node) or not 0 <= split_node < len(nodes):
+        if not is_int(split_node) or not 0 <= split_node < len(nodes):
             raise SchemaError("split_node must be a valid node id")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
@@ -385,11 +369,10 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
         src = re.get("src")
         dst = re.get("dst")
         for label_, v in (("src", src), ("dst", dst)):
-            if not _is_int(v) or not 0 <= v < len(nodes):
+            if not is_int(v) or not 0 <= v < len(nodes):
                 raise SchemaError(f"{path}.{label_} does not reference a node")
-        edges.append(
-            EdgeRecord(src=src, dst=dst, kind=kind, features=_check_features(re.get("features"), EDGE_FEATURE_DIM, path))
-        )
+        features = check_numbers(re.get("features"), EDGE_FEATURE_DIM, f"{path}.features")
+        edges.append(EdgeRecord(src=src, dst=dst, kind=kind, features=features))
     graph = CodeGraph(
         nodes=nodes,
         edges=edges,

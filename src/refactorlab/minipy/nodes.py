@@ -35,7 +35,6 @@ NODE_KINDS: tuple[str, ...] = (
 KIND_INDEX: dict[str, int] = {k: i for i, k in enumerate(NODE_KINDS)}
 
 COMPARE_OPS = ("<", ">", "<=", ">=", "==", "!=")
-BIN_OPS = ("+", "-", "*")
 
 
 # --- expression payloads ----------------------------------------------------

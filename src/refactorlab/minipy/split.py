@@ -13,7 +13,9 @@ branches or loops of the tail do not count as definite, so the analysis
 never drops a needed parameter.
 
 The result is rebuilt through print-and-reparse, which renumbers ids and
-recomputes spans in one step.
+recomputes spans in one step.  So only the nodes on the path from the
+root to the split function are copied, each with its own children list;
+every other node is shared with the input tree, which is left unchanged.
 """
 
 from __future__ import annotations
@@ -148,25 +150,21 @@ def extract_split(tree: AstTree, node_id: int) -> AstTree:
     live = live_variables(fn, k)
     tail_name = _tail_name(tree, fn.name)
 
-    root = copy.deepcopy(tree.root)
-    new_tree = AstTree.from_root(root)
-    new_fn = new_tree.node(fn.id)
+    path = tree.ancestors(fn.id)
+    copies = [copy.copy(tree.nodes[i]) for i in path]
+    for parent, child in zip(copies, copies[1:]):
+        parent.children = [child if c.id == child.id else c for c in parent.children]
+    root, new_fn = copies[0], copies[-1]
 
-    tail_stmts = new_fn.children[k:]
     tail_fn = AstNode(
-        "FunctionDef", name=tail_name, children=tail_stmts, params=tuple(live)
+        "FunctionDef", name=tail_name, children=fn.children[k:], params=tuple(live)
     )
     call = AstNode("Call", name=tail_name, args=tuple(Name(v) for v in live))
     handoff = AstNode("Return", children=[call], value=CallRef(call))
-    new_fn.children = new_fn.children[:k] + [handoff]
+    new_fn.children = fn.children[:k] + [handoff]
 
     # insert the tail right after the top-level statement containing fn
-    anchor = fn.id
-    path = tree.ancestors(fn.id)
-    top_level = path[1] if len(path) > 1 else anchor
-    position = next(
-        i for i, stmt in enumerate(root.children) if stmt.id == top_level
-    )
+    position = next(i for i, stmt in enumerate(root.children) if stmt.id == path[1])
     root.children.insert(position + 1, tail_fn)
 
     return parse_source(pretty_print(root))

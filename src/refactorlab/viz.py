@@ -4,8 +4,8 @@ Function nodes are colored by their metrics: red when subtree cyclomatic
 complexity exceeds the hot threshold, green when the function's local
 coupling stays under the cool threshold, gray otherwise; non-function
 nodes are never red.  Structural edges (containment, sibling order,
-control flow) draw blue, reference edges (calls, data flow) purple, and
-any edge whose weight exceeds the thick threshold gets a heavy stroke.
+control flow) draw blue, reference edges (calls, data flow) purple, all
+with a unit stroke.
 
 The HTML view is fully self-contained — inline SVG, no scripts, no
 network fetches — with before/after panels and a metrics caption, and is
@@ -15,33 +15,16 @@ byte-identical for identical inputs.
 from __future__ import annotations
 
 import html
-from dataclasses import dataclass
 
-from .graph import EDGE_WEIGHT, NODE_SUBTREE_CC, CodeGraph, EdgeRecord
-from .metrics import coupling, cyclomatic
+from .graph import NODE_SUBTREE_CC, CodeGraph, EdgeRecord
+from .metrics import cyclomatic
 from .minipy.nodes import AstTree
 
 _CONTROL_EDGES = frozenset({"Parent", "NextSibling", "ControlFlow"})
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    red_complexity_threshold: float = 12.0
-    green_coupling_threshold: float = 4.0
-    thick_weight_threshold: float = 2.0
-    control_color: str = "blue"
-    data_color: str = "purple"
-    hot_color: str = "red"
-    cool_color: str = "green"
-    neutral_color: str = "gray"
-
-    def __post_init__(self) -> None:
-        if (
-            self.red_complexity_threshold <= 0
-            or self.green_coupling_threshold <= 0
-            or self.thick_weight_threshold <= 0
-        ):
-            raise ValueError("render thresholds must be positive")
+# a function is hot above this cyclomatic complexity, cool below this coupling
+RED_COMPLEXITY_THRESHOLD = 12.0
+GREEN_COUPLING_THRESHOLD = 4.0
 
 
 def function_render_metrics(tree: AstTree) -> dict[int, dict[str, float]]:
@@ -63,42 +46,30 @@ def function_render_metrics(tree: AstTree) -> dict[int, dict[str, float]]:
     return out
 
 
-def _node_color(
-    kind: str,
-    node_id: int,
-    metrics: dict[int, dict[str, float]],
-    style: RenderStyle,
-) -> str:
+def _node_color(kind: str, node_id: int, metrics: dict[int, dict[str, float]]) -> str:
     if kind != "FunctionDef":
-        return style.neutral_color
+        return "gray"
     m = metrics.get(node_id)
     if m is None:
-        return style.neutral_color
-    if m["cyclomatic"] > style.red_complexity_threshold:
-        return style.hot_color
-    if m["coupling"] < style.green_coupling_threshold:
-        return style.cool_color
-    return style.neutral_color
+        return "gray"
+    if m["cyclomatic"] > RED_COMPLEXITY_THRESHOLD:
+        return "red"
+    if m["coupling"] < GREEN_COUPLING_THRESHOLD:
+        return "green"
+    return "gray"
 
 
-def _edge_style(edge: EdgeRecord, style: RenderStyle) -> tuple[str, int]:
-    color = style.control_color if edge.kind in _CONTROL_EDGES else style.data_color
-    width = 3 if edge.features[EDGE_WEIGHT] > style.thick_weight_threshold else 1
-    return color, width
+def _edge_color(edge: EdgeRecord) -> str:
+    return "blue" if edge.kind in _CONTROL_EDGES else "purple"
 
 
-def to_dot(
-    graph: CodeGraph,
-    metrics: dict[int, dict[str, float]] | None = None,
-    style: RenderStyle | None = None,
-) -> str:
+def to_dot(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None = None) -> str:
     """Render a graph as a DOT digraph with the metric color scheme.
 
     ``metrics`` maps FunctionDef node ids to their cyclomatic/coupling
     values (see function_render_metrics); without it every function node
     falls back to its subtree-cyclomatic node feature and zero coupling.
     """
-    style = style or RenderStyle()
     if metrics is None:
         metrics = {
             n.id: {"cyclomatic": float(n.features[NODE_SUBTREE_CC]), "coupling": 0.0}
@@ -107,16 +78,13 @@ def to_dot(
         }
     lines = ["digraph code {", "  rankdir=TB;"]
     for node in graph.nodes:
-        color = _node_color(node.kind, node.id, metrics, style)
+        color = _node_color(node.kind, node.id, metrics)
         lines.append(
             f'  n{node.id} [label="{node.kind}#{node.id}", style=filled, '
             f"fillcolor={color}];"
         )
     for edge in graph.edges:
-        color, width = _edge_style(edge, style)
-        lines.append(
-            f"  n{edge.src} -> n{edge.dst} [color={color}, penwidth={width}];"
-        )
+        lines.append(f"  n{edge.src} -> n{edge.dst} [color={_edge_color(edge)}, penwidth=1];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -165,11 +133,7 @@ def _layout(graph: CodeGraph) -> dict[int, tuple[float, int]]:
     return pos
 
 
-def _svg_for(
-    graph: CodeGraph,
-    metrics: dict[int, dict[str, float]] | None,
-    style: RenderStyle,
-) -> str:
+def _svg_for(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None) -> str:
     if metrics is None:
         metrics = {
             n.id: {"cyclomatic": float(n.features[NODE_SUBTREE_CC]), "coupling": 0.0}
@@ -193,14 +157,13 @@ def _svg_for(
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
     for edge in graph.edges:
-        color, pen = _edge_style(edge, style)
         parts.append(
             f'<line x1="{cx(edge.src):.1f}" y1="{cy(edge.src):.1f}" '
             f'x2="{cx(edge.dst):.1f}" y2="{cy(edge.dst):.1f}" '
-            f'stroke="{color}" stroke-width="{pen}" opacity="0.6"/>'
+            f'stroke="{_edge_color(edge)}" stroke-width="1" opacity="0.6"/>'
         )
     for node in graph.nodes:
-        color = _node_color(node.kind, node.id, metrics, style)
+        color = _node_color(node.kind, node.id, metrics)
         label = f"{node.kind}#{node.id}"
         parts.append(
             f'<g><title>{html.escape(label)}</title>'
@@ -226,24 +189,13 @@ def _caption_value(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None
     return f"CC {root_cc:g}"
 
 
-def caption_metrics(tree: AstTree) -> dict[int, dict[str, float]]:
-    """Render metrics plus module coupling folded into each function."""
-    metrics = function_render_metrics(tree)
-    module_coupling = float(coupling(tree))
-    for m in metrics.values():
-        m["module_coupling"] = module_coupling
-    return metrics
-
-
 def to_html(
     before: CodeGraph,
     after: CodeGraph | None = None,
-    style: RenderStyle | None = None,
     before_metrics: dict[int, dict[str, float]] | None = None,
     after_metrics: dict[int, dict[str, float]] | None = None,
 ) -> str:
     """Self-contained HTML with inline SVG panels and a metrics caption."""
-    style = style or RenderStyle()
     panels = [("before", before, before_metrics)]
     if after is not None:
         panels.append(("after", after, after_metrics))
@@ -256,7 +208,7 @@ def to_html(
             '<figure style="display:inline-block;vertical-align:top;'
             'margin:8px;border:1px solid #ccc;padding:8px">'
             f"<figcaption>{html.escape(title)}</figcaption>"
-            f"{_svg_for(graph, metrics, style)}</figure>"
+            f"{_svg_for(graph, metrics)}</figure>"
         )
     return (
         "<!DOCTYPE html>\n"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import pytest
@@ -94,6 +95,34 @@ def test_seed_is_echoed(plain_file):
     assert json.loads(out)["seed"] == 7
 
 
+# sha256 of the output bytes, recorded before the edge-weight scan and the
+# render-style options were deleted; both deletions had to keep every byte
+PINNED_OUTPUTS = {
+    "graph": "6b1b3a5140d7e19a25a3d69486d45b5824ea726aa0d75022c14820a59423dabb",
+    "viz": "d24bb2d54c8ca5f0a6b92eb08ae5c09eaabad680e12c976c866a941582a20349",
+    "viz_split": "0a3065c2668a9393654194caf5a112174507b9b8df068d80ae2c5509bf45ff2f",
+    "viz_dot": "c644d9f7cf0e73e85a3c7379ff1e30b80ebd9857e5038909adff83d02ef60538",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)  # the graph document echoes the path it was given
+    (tmp_path / "tally.mpy").write_text(SPLITTABLE_SRC)
+    split_id = parse_source(SPLITTABLE_SRC).functions()[0].children[2].id
+    argv = {
+        "graph": ["graph", "tally.mpy", "--format", "json"],
+        "viz": ["viz", "tally.mpy", "--out", "-"],
+        "viz_split": ["viz", "tally.mpy", "--split", str(split_id), "--out", "-"],
+        "viz_dot": ["viz", "tally.mpy", "--out", "tally.dot"],
+    }[name]
+    code, out, err = run_cli(argv)
+    assert code == 0, err
+    if name == "viz_dot":
+        out = (tmp_path / "tally.dot").read_text()
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS[name]
+
+
 def test_out_flag_writes_file(tmp_path, plain_file):
     target = tmp_path / "ast.json"
     code, out, err = run_cli(["parse", plain_file, "--format", "json", "--out", str(target)])
@@ -147,6 +176,17 @@ def test_long_operator_chain_is_parsed_and_graphed(tmp_path):
     code, out, _ = run_cli(["graph", str(path)])
     assert code == 0
     assert any(e["kind"] == "DataFlow" for e in json.loads(out)["graph"]["edges"])
+
+
+def test_viz_splits_a_function_with_a_long_operator_chain(tmp_path):
+    # the split moves the 3,000-term chain into the tail function
+    source = "def f(a):\n    b = a\n    x = " + " + ".join(["b"] * 3000) + "\n    return x\n"
+    path = tmp_path / "chain.mpy"
+    path.write_text(source)
+    split_id = parse_source(source).functions()[0].children[1].id
+    code, out, err = run_cli(["viz", str(path), "--split", str(split_id), "--out", "-"])
+    assert code == 0, err
+    assert out.count("<svg") == 2
 
 
 def test_exit_data_on_missing_file():

@@ -17,7 +17,6 @@ from refactorlab.corpus import (
     filter_trivial,
     ingest_dir,
     ingest_units,
-    kfold_indices,
     label_unit,
     oversample,
     split_indices,
@@ -288,31 +287,6 @@ def test_split_indices_rejects_bad_input():
         split_indices([0, 1], test_fraction=1.0)
 
 
-def test_kfold_sizes_differ_by_at_most_one():
-    folds = kfold_indices([i % 2 for i in range(103)], k=5, seed=0)
-    assert sorted(len(f) for f in folds) == [20, 20, 21, 21, 21]
-    flat = sorted(i for f in folds for i in f)
-    assert flat == list(range(103))
-
-
-def test_kfold_exact_on_divisible_input():
-    folds = kfold_indices([0, 1] * 5, k=5, seed=2)
-    assert [len(f) for f in folds] == [2, 2, 2, 2, 2]
-
-
-def test_kfold_stratifies_balanced_classes():
-    labels = [0] * 50 + [1] * 50
-    for fold in kfold_indices(labels, k=5, seed=7):
-        assert sum(labels[i] for i in fold) == 10
-
-
-def test_kfold_rejects_bad_k():
-    with pytest.raises(DataError):
-        kfold_indices([0, 1, 0, 1], k=1)
-    with pytest.raises(TooSmallError):
-        kfold_indices([0, 1, 0], k=5)
-
-
 # --- full pipeline ------------------------------------------------------------------
 
 
@@ -343,8 +317,6 @@ def test_build_dataset_invariants(small_dataset):
     assert len(ds.split["test"]) == int(0.2 * n)
     labels = [s.label for s in ds.samples]
     assert sum(labels) / n >= 0.40
-    assert ds.folds is not None
-    assert sorted(i for f in ds.folds for i in f) == list(range(n))
 
 
 def test_build_dataset_is_deterministic(small_dataset):
@@ -419,7 +391,13 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["samples"][0].pop("graph"))
     corrupt(lambda d: d.update(split={"train": [0]}))
     corrupt(lambda d: d["split"]["train"].append(0))  # overlap/cover violation
-    corrupt(lambda d: d.update(folds=[[0]]))
+    corrupt(lambda d: d.update(folds=[[0]]))  # version 3 dropped folds: an unknown field
+    corrupt(lambda d: d["split"]["train"].__setitem__(0, "x"))
+    corrupt(lambda d: d["split"]["train"].__setitem__(0, d["split"]["train"][0] + 0.5))
+    corrupt(lambda d: d["split"]["train"].__setitem__(0, True))
+    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, "x"))
+    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, True))
+    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, float("nan")))
     for split_node in (10**6, -1, True, 1.5):  # not a node id of the sample's graph
         corrupt(lambda d: d["samples"][0].update(split_node=split_node))
 

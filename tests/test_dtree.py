@@ -11,7 +11,6 @@ from refactorlab.dtree import (
     dtree_from_doc,
     dtree_to_doc,
     gini,
-    grid_search_dtree,
     predict_batch,
     predict_dtree,
     train_dtree,
@@ -166,26 +165,13 @@ def test_checkpoint_rejects_corruption():
     corrupt(lambda d: d.pop("nodes"))
     corrupt(lambda d: d["nodes"][0].update(left=99))
     corrupt(lambda d: d.update(n_features=-1))
-
-
-# --- grid search ------------------------------------------------------------------
-
-
-def test_grid_search_prefers_sufficient_depth():
-    rng = Rng(33)
-    X, y = [], []
-    for _ in range(240):
-        a, b = float(rng.randint(0, 9)), float(rng.randint(0, 9))
-        X.append([a, b])
-        y.append(1 if (a > 4) == (b > 4) else 0)  # needs depth 2, not 1
-    folds = [i % 4 for i in range(len(y))]
-    params, table = grid_search_dtree(X, y, folds, depths=(1, 3))
-    assert params.max_depth == 3
-    assert len(table) == 2
-    by_depth = {row["max_depth"]: row["mean_f1"] for row in table}
-    assert by_depth[3] > by_depth[1]
-
-
-def test_grid_search_validates_folds():
-    with pytest.raises(DataError):
-        grid_search_dtree(SEP_X, SEP_Y, [0, 1])
+    corrupt(lambda d: d.update(n_features="2"))
+    corrupt(lambda d: d["nodes"][0].update(threshold="2.5"))
+    corrupt(lambda d: d["nodes"][1].update(prob_refactor="0.5"))
+    corrupt(lambda d: d["nodes"].__setitem__(1, [0.5]))
+    corrupt(lambda d: d["nodes"][0].update(feature_index=True))
+    corrupt(lambda d: d["nodes"][0].update(left=True))
+    corrupt(lambda d: d["params"].update(max_depth="20"))
+    corrupt(lambda d: d["params"].update(max_depth=None))
+    corrupt(lambda d: d["params"].update(min_samples_split=True))
+    corrupt(lambda d: d.update(params=[]))

@@ -11,6 +11,7 @@ from refactorlab.errors import CheckpointError, DataError, DimensionMismatchErro
 from refactorlab.gcn import (
     GcnConfig,
     TrainConfig,
+    _bce_logits,
     aggregation_matrix,
     backward,
     forward,
@@ -19,7 +20,6 @@ from refactorlab.gcn import (
     gcn_to_doc,
     gradient_check,
     init_model,
-    loss_bce,
     predict_graphs,
     sample_loss,
     suggest_split,
@@ -127,16 +127,18 @@ def test_layer_forward_rejects_shape_mismatch():
 
 
 def test_bce_by_hand():
-    assert loss_bce(0.5, 1) == pytest.approx(math.log(2.0))
-    assert loss_bce(0.5, 0) == pytest.approx(math.log(2.0))
-    assert loss_bce(0.9, 1) == pytest.approx(-math.log(0.9))
-    assert loss_bce(0.9, 0) == pytest.approx(-math.log(0.1))
+    # logit 0 is probability 0.5; logit log(9) is probability 0.9
+    z = np.array([0.0, 0.0, math.log(9.0), math.log(9.0)])
+    t = np.array([1.0, 0.0, 1.0, 0.0])
+    expected = [math.log(2.0), math.log(2.0), -math.log(0.9), -math.log(0.1)]
+    assert _bce_logits(z, t).tolist() == pytest.approx(expected)
 
 
 def test_bce_clamps_extremes():
-    assert math.isfinite(loss_bce(0.0, 1))
-    assert math.isfinite(loss_bce(1.0, 0))
-    assert loss_bce(1.0, 1) == pytest.approx(0.0, abs=1e-9)
+    # saturated logits: confidently wrong costs |z|, confidently right costs 0
+    loss = _bce_logits(np.array([-1000.0, 1000.0, 1000.0]), np.array([1.0, 0.0, 1.0]))
+    assert np.all(np.isfinite(loss))
+    assert loss.tolist() == pytest.approx([1000.0, 1000.0, 0.0], abs=1e-9)
 
 
 # --- gradients ---------------------------------------------------------------------

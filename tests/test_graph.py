@@ -14,7 +14,6 @@ from refactorlab.graph import (
     build_graph,
     emit_graph_doc,
     ingest_graph_doc,
-    node_features,
 )
 from refactorlab.minipy.parser import parse_source
 
@@ -117,7 +116,7 @@ def test_tiny_graph_assign_features_by_hand():
     # enclosing function, defines one variable, receives one Parent edge,
     # emits NextSibling + DataFlow, no loops or imports below it,
     # complexity 1, no children, subtree of one node.
-    assert node_features(parse_source(TINY_SRC), 2) == [
+    assert build_graph(parse_source(TINY_SRC)).nodes[2].features == [
         1.0,
         2.0,
         0.5,
@@ -136,7 +135,7 @@ def test_tiny_graph_assign_features_by_hand():
 def test_function_node_rolls_up_subtree():
     tree = parse_source(SPLITTABLE_SRC)
     fn = tree.functions()[0]
-    feats = node_features(tree, fn.id)
+    feats = build_graph(tree).nodes[fn.id].features
     names = dict(zip(NODE_FEATURE_NAMES, feats))
     assert names["lines_in_subtree"] == 11.0
     assert names["scope_depth"] == 0.0
@@ -147,7 +146,7 @@ def test_function_node_rolls_up_subtree():
 
 def test_import_counts():
     tree = parse_source(IMPORT_HEAVY_SRC)
-    feats = node_features(tree, 0)
+    feats = build_graph(tree).nodes[0].features
     assert dict(zip(NODE_FEATURE_NAMES, feats))["imports_in_subtree"] == 6.0
 
 

@@ -8,6 +8,7 @@ from refactorlab.errors import SplitError
 from refactorlab.metrics import cyclomatic
 from refactorlab.minipy.interp import behavior_fingerprint
 from refactorlab.minipy.parser import parse_source
+from refactorlab.minipy.printer import pretty_print
 from refactorlab.minipy.split import extract_split, live_variables, split_points
 from refactorlab.rng import Rng
 
@@ -162,11 +163,28 @@ def test_split_after_loop_keeps_head_complexity():
 
 
 def test_split_does_not_mutate_input_tree():
-    tree = parse_source(SPLITTABLE_SRC)
-    before = len(tree.nodes)
-    extract_split(tree, stmt_id(tree, 2))
-    assert len(tree.nodes) == before
-    assert [f.name for f in tree.functions()] == ["tally"]
+    # the split shares every node off the root-to-function path with its
+    # input, so a split anywhere, nested functions included, must leave the
+    # input's text, ids, parent links and children lists as they were
+    nested = (
+        "def outer(a):\n"
+        "    x = a\n"
+        "    def inner(b):\n"
+        "        c = b\n"
+        "        d = c\n"
+        "    y = x\n"
+        "    return y\n"
+    )
+    tree = parse_source(SPLITTABLE_SRC + nested)
+
+    def state():
+        children = [[id(c) for c in n.children] for n in tree.nodes]
+        return pretty_print(tree), [n.id for n in tree.nodes], list(tree.parent), children
+
+    before = state()
+    for point in split_points(tree):
+        extract_split(tree, point)
+        assert state() == before
 
 
 # --- rejection --------------------------------------------------------------

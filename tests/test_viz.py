@@ -4,18 +4,10 @@ from __future__ import annotations
 
 import re
 
-import pytest
-
 from refactorlab.graph import build_graph
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.split import extract_split
-from refactorlab.viz import (
-    RenderStyle,
-    caption_metrics,
-    function_render_metrics,
-    to_dot,
-    to_html,
-)
+from refactorlab.viz import function_render_metrics, to_dot, to_html
 
 from conftest import IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC
 
@@ -51,21 +43,9 @@ HOT_SRC = (
 )
 
 
-def render(src: str, **kwargs) -> str:
+def render(src: str) -> str:
     tree = parse_source(src)
-    return to_dot(build_graph(tree), metrics=function_render_metrics(tree), **kwargs)
-
-
-# --- style validation -----------------------------------------------------------
-
-
-def test_render_style_rejects_non_positive_thresholds():
-    with pytest.raises(ValueError):
-        RenderStyle(red_complexity_threshold=0.0)
-    with pytest.raises(ValueError):
-        RenderStyle(green_coupling_threshold=-1.0)
-    with pytest.raises(ValueError):
-        RenderStyle(thick_weight_threshold=0.0)
+    return to_dot(build_graph(tree), metrics=function_render_metrics(tree))
 
 
 # --- DOT output -----------------------------------------------------------------
@@ -131,12 +111,10 @@ def test_edge_colors_split_control_from_data():
     assert "color=purple" in dot
 
 
-def test_heavy_edges_get_thick_strokes():
+def test_every_edge_has_a_unit_stroke():
     graph = build_graph(parse_source(SPLITTABLE_SRC))
-    dot = to_dot(graph)
-    heavy = sum(1 for e in graph.edges if e.features[2] > 2.0)
-    assert dot.count("penwidth=3") == heavy
-    assert dot.count("penwidth=1") == len(graph.edges) - heavy
+    assert to_dot(graph).count("penwidth=1") == len(graph.edges)
+    assert to_html(graph).count('stroke-width="1"') == len(graph.edges)
 
 
 def test_dot_without_metrics_uses_subtree_feature():
@@ -169,25 +147,11 @@ def test_html_before_after_panels_and_caption():
     page = to_html(
         build_graph(tree),
         after=build_graph(after),
-        before_metrics=caption_metrics(tree),
-        after_metrics=caption_metrics(after),
+        before_metrics=function_render_metrics(tree),
+        after_metrics=function_render_metrics(after),
     )
     assert page.count("<svg") == 2
     assert "<figcaption>before</figcaption>" in page
     assert "<figcaption>after</figcaption>" in page
     assert "→" in page
     assert re.search(r"CC \d+.*→.*CC \d+", page)
-
-
-def test_caption_metrics_fold_in_module_coupling():
-    tree = parse_source(IMPORT_HEAVY_SRC)
-    metrics = caption_metrics(tree)
-    for m in metrics.values():
-        assert "module_coupling" in m
-        assert m["module_coupling"] >= m["coupling"]
-
-
-def test_custom_style_changes_colors():
-    style = RenderStyle(hot_color="orange", red_complexity_threshold=0.5)
-    dot = render(PLAIN_SRC, style=style)
-    assert "fillcolor=orange" in dot  # low bar makes every function hot
