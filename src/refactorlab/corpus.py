@@ -139,11 +139,13 @@ class Dataset:
 
     def validate(self) -> None:
         n = len(self.samples)
-        train = set(self.split.get("train", ()))
-        test = set(self.split.get("test", ()))
-        if train & test:
+        train = list(self.split.get("train", ()))
+        test = list(self.split.get("test", ()))
+        if len(set(train)) < len(train) or len(set(test)) < len(test):
+            raise InvariantError("a split lists a sample more than once")
+        if set(train) & set(test):
             raise InvariantError("train and test splits overlap")
-        if train | test != set(range(n)):
+        if set(train) | set(test) != set(range(n)):
             raise InvariantError("split does not cover all samples")
 
 

@@ -18,6 +18,15 @@ and deviation fitted on the training nodes, frozen into the checkpoint)
 so count-like features (lines, subtree sizes) do not swamp the sum
 aggregation and small-range features stay visible to the optimizer.
 
+A training step keeps only what its backward pass reads.  Per layer the
+forward cache holds the aggregated input S and the output H after ReLU and
+dropout, written in place, plus the dropout scale: H > 0 is exactly the
+kept-and-active mask, so the pre-activation and a float dropout mask are
+never stored, and the backward pass stops at layer 1's weights, since
+nothing reads the gradient of the input features.  Graph pooling keeps
+``np.add.reduceat`` because a faster pooling matrix product rounds
+differently (see ``_forward_full``).
+
 Everything is float64 numpy with a fixed reduction order, so a fixed seed
 reproduces training bit for bit.
 """
@@ -84,10 +93,13 @@ class TrainConfig:
     seed: int = 42
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0:
-            raise DataError("learning_rate must be > 0")
-        if self.epochs < 1:
-            raise DataError("epochs must be >= 1")
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+        lr = self.learning_rate
+        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0.0 < lr < math.inf:
+            raise DataError(f"learning_rate must be a finite number > 0, got {lr!r}")
 
 
 @dataclass
@@ -163,19 +175,29 @@ def aggregation_matrix(graph: CodeGraph) -> sparse.csr_matrix:
     unit self-loop.  Every edge enters both orientations, so A is symmetric.
 
     Each entry is summed in edge order with the self-loop last, a fixed
-    float reduction order that keeps training reproducible bit for bit.
+    float reduction order that keeps training reproducible bit for bit:
+    ``np.bincount`` adds its weights in input order, starting from 0.0.
+    The matrix is canonical CSR (sorted indices, no duplicates), so a
+    product with it sums each row's terms in column order.
     """
     n = len(graph.nodes)
-    gates: dict[tuple[int, int], float] = {}
-    for e in graph.edges:
-        s = e.features[EDGE_STRENGTH]
-        gates[e.dst, e.src] = gates.get((e.dst, e.src), 0.0) + s
-        gates[e.src, e.dst] = gates.get((e.src, e.dst), 0.0) + s
-    for v in range(n):
-        gates[v, v] = gates.get((v, v), 0.0) + 1.0
-    at = np.array(list(gates), dtype=np.int64).reshape(-1, 2)
-    vals = np.array(list(gates.values()), dtype=np.float64)
-    return sparse.csr_matrix((vals, (at[:, 0], at[:, 1])), shape=(n, n))
+    m = len(graph.edges)
+    ends = np.fromiter(
+        (v for e in graph.edges for v in (e.dst, e.src)), dtype=np.int64, count=2 * m
+    ).reshape(m, 2)
+    strength = np.fromiter(
+        (e.features[EDGE_STRENGTH] for e in graph.edges), dtype=np.float64, count=m
+    )
+    diag = np.arange(n, dtype=np.int64)
+    # per edge the (dst, src) entry, then the (src, dst) one; self-loops last
+    rows = np.concatenate([ends.reshape(-1), diag])
+    cols = np.concatenate([ends[:, ::-1].reshape(-1), diag])
+    weights = np.concatenate([np.repeat(strength, 2), np.ones(n)])
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    data = np.bincount(slot, weights)
+    # int32 index arrays, the dtype scipy would pick, spare its constructor a scan
+    indptr = np.searchsorted(keys, np.arange(0, n * n + 1, n)).astype(np.int32)
+    return sparse.csr_matrix((data, (keys % n).astype(np.int32), indptr), shape=(n, n))
 
 
 def _node_matrix(graph: CodeGraph, input_dim: int) -> np.ndarray:
@@ -220,30 +242,41 @@ def _forward_full(
     counts: np.ndarray,
     nprng: np.random.Generator | None = None,
 ) -> dict:
-    """Forward pass over a batch with recorded intermediates.
+    """Forward pass over a batch, caching what the backward pass reads.
 
     ``X`` and ``A`` stack the batch's graphs block-diagonally and
     ``counts`` gives each graph's node count.  Dropout is drawn from
     ``nprng`` when one is given (training) and skipped otherwise.
-    Returns every intermediate needed by the backward pass.
+
+    Per layer the cache holds the aggregated input ``S``, the output ``H``
+    after ReLU and dropout, and the dropout scale (None where no dropout
+    ran).  That is all the backward pass needs: ``H > 0`` holds exactly
+    where a unit was kept and its pre-activation was positive, so neither
+    the pre-activation nor a float mask is kept.
+
+    Pooling sums each graph's rows with ``np.add.reduceat``.  Its
+    summation order is numpy's own (not a plain left-to-right sum), and a
+    pooling matrix product, though many times faster, adds in yet another
+    order: it rounds differently and would change the trained weights.
     """
     cfg = model.config
     w = model.weights
     H = (np.log1p(X) - model.feature_mu) / model.feature_sigma
-    cache: dict = {"A": A, "H0": H, "S": [], "Z": [], "H": [], "mask": []}
+    cache: dict = {"A": A, "S": [], "H": [], "scale": []}
     for layer in range(1, cfg.layers + 1):
         S = A @ H
-        Z = S @ w[f"W{layer}"] + w[f"b{layer}"]
-        H = np.maximum(Z, 0.0)
-        mask = None
+        H = S @ w[f"W{layer}"]
+        H += w[f"b{layer}"]
+        np.maximum(H, 0.0, out=H)
+        scale = None
         if nprng is not None and cfg.dropout > 0.0 and layer < cfg.layers:
-            keep = nprng.random(H.shape) >= cfg.dropout
-            mask = keep / (1.0 - cfg.dropout)
-            H = H * mask
+            # keep is 0 or 1, so (H * keep) * scale is the float H * (keep * scale)
+            H *= nprng.random(H.shape) >= cfg.dropout
+            scale = 1.0 / (1.0 - cfg.dropout)
+            H *= scale
         cache["S"].append(S)
-        cache["Z"].append(Z)
         cache["H"].append(H)
-        cache["mask"].append(mask)
+        cache["scale"].append(scale)
     starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
     sums = np.add.reduceat(H, starts, axis=0)
     means = sums / counts[:, None]
@@ -263,9 +296,13 @@ def _forward_full(
     return cache
 
 
+def _batch_of_one(model: GcnModel, graph: CodeGraph, label: float = 0.0, split: int | None = None):
+    return _assemble_batch([_sample_tensors(graph, model.config, label, split)])
+
+
 def _forward_one(model: GcnModel, graph: CodeGraph) -> dict:
     """Inference-mode forward cache of one graph: a batch of one."""
-    X, A, counts, _, _ = _assemble_batch([_sample_tensors(graph, model.config, 0.0, None)])
+    X, A, counts, _, _ = _batch_of_one(model, graph)
     return _forward_full(model, X, A, counts)
 
 
@@ -341,17 +378,18 @@ def _backward_from_cache(
         dzn[lo : lo + n] = (cache["node_scores"][lo : lo + n] - target) / (n * B)
     grads["wn"] = H_final.T @ dzn
     grads["bn"] = np.array([dzn.sum()])
-    dH = dH + np.outer(dzn, w["wn"])
+    dH += np.outer(dzn, w["wn"])
 
     for layer in range(cfg.layers, 0, -1):
-        mask = cache["mask"][layer - 1]
-        if mask is not None:
-            dH = dH * mask
-        dZ = dH * (cache["Z"][layer - 1] > 0.0)
+        scale = cache["scale"][layer - 1]
+        # H > 0 is the kept-and-active mask: the same bits as multiplying
+        # by the dropout mask and then by Z > 0, down to the signs of zeros
+        dZ = dH if scale is None else dH * scale
+        dZ *= cache["H"][layer - 1] > 0.0
         grads[f"W{layer}"] = cache["S"][layer - 1].T @ dZ
         grads[f"b{layer}"] = dZ.sum(axis=0)
-        dS = dZ @ w[f"W{layer}"].T
-        dH = cache["A"] @ dS  # A is symmetric, so it is its own transpose
+        if layer > 1:  # nothing reads the gradient of the input features
+            dH = cache["A"] @ (dZ @ w[f"W{layer}"].T)  # A is symmetric
     return grads
 
 
@@ -367,7 +405,7 @@ def backward(
 def sample_loss(
     model: GcnModel, graph: CodeGraph, label: int, split_label: int | None = None
 ) -> float:
-    """Inference-mode loss of one sample (used by the finite-difference check)."""
+    """Inference-mode loss of one sample."""
     labels = np.array([float(label)])
     return _loss_from_cache(_forward_one(model, graph), labels, [split_label])
 
@@ -379,8 +417,15 @@ def gradient_check(
     split_label: int | None = None,
     step: float = 1e-6,
 ) -> float:
-    """Max relative error between analytic and central-difference gradients."""
-    analytic = backward(model, graph, label, split_label)
+    """Max relative error between analytic and central-difference gradients
+    of one sample's inference-mode loss (``backward`` and ``sample_loss``,
+    with the sample's tensors built once)."""
+    X, A, counts, labels, splits = _batch_of_one(model, graph, float(label), split_label)
+
+    def loss() -> float:
+        return _loss_from_cache(_forward_full(model, X, A, counts), labels, splits)
+
+    analytic = _backward_from_cache(model, _forward_full(model, X, A, counts), labels, splits)
     worst = 0.0
     for name in model.param_names():
         param = model.weights[name]
@@ -389,9 +434,9 @@ def gradient_check(
         for i in range(flat.size):
             keep = flat[i]
             flat[i] = keep + step
-            up = sample_loss(model, graph, label, split_label)
+            up = loss()
             flat[i] = keep - step
-            down = sample_loss(model, graph, label, split_label)
+            down = loss()
             flat[i] = keep
             fd = (up - down) / (2.0 * step)
             denom = max(abs(fd), abs(grad[i]), 1e-6)
@@ -421,6 +466,10 @@ def _sample_tensors(graph: CodeGraph, config: GcnConfig, label: float, split: in
 
 def _assemble_batch(tensors: list[_SampleTensors]):
     counts = np.array([t.X.shape[0] for t in tensors], dtype=np.int64)
+    labels = np.array([t.label for t in tensors], dtype=np.float64)
+    splits = [t.split for t in tensors]
+    if len(tensors) == 1:  # a batch of one is its sample, as it is
+        return tensors[0].X, tensors[0].A, counts, labels, splits
     nnz = np.array([t.A.nnz for t in tensors], dtype=np.int64)
     # the block-diagonal stack of the CSR matrices, joined array by array:
     # sparse.block_diag converts every block and takes ten times as long
@@ -429,8 +478,6 @@ def _assemble_batch(tensors: list[_SampleTensors]):
     n = int(counts.sum())
     A = sparse.csr_matrix((np.concatenate([t.A.data for t in tensors]), indices, indptr), shape=(n, n))
     X = np.vstack([t.X for t in tensors])
-    labels = np.array([t.label for t in tensors], dtype=np.float64)
-    splits = [t.split for t in tensors]
     return X, A, counts, labels, splits
 
 

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,8 @@ from refactorlab.minipy.split import extract_split
 from refactorlab.viz import function_render_metrics, to_html
 
 from conftest import PLAIN_SRC, SPLITTABLE_SRC, run_cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture()
@@ -121,6 +127,44 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
     if name == "viz_dot":
         out = (tmp_path / "tally.dot").read_text()
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == PINNED_OUTPUTS[name]
+
+
+# sha256 of a small GCN run's outputs: `train --model gnn` with the default
+# dropout and several Adam steps, and the `eval --format json` that reads
+# its weights.  Recorded before the training step was fused; a leaner step
+# has to keep every weight bit.  The BLAS pool is pinned to one thread,
+# since the thread count changes how matrix products round.
+PINNED_GNN_OUTPUTS = {
+    "workspace": "da033a98a660bffb499f0856e3c85e2b0da7ead7aa95f68321684a06017ef98a",
+    "report": "9804c0997378a3f1607a4cefd44339fe1983def4df2202434025d3e4214d2b10",
+}
+ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+
+
+def test_gnn_training_matches_pinned_hashes():
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {
+        **os.environ,
+        **ONE_BLAS_THREAD,
+        "PYTHONPATH": src if not path else src + os.pathsep + path,
+    }
+
+    def cli(argv, stdin):
+        proc = subprocess.run(
+            [sys.executable, "-m", "refactorlab.cli", *argv],
+            input=stdin, capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    bundle = cli(["synth", "--n", "40", "--seed", "3"], "")
+    manifest = cli(["corpus", "build"], bundle)
+    train = ["train", "--model", "gnn", "--epochs", "3", "--batch-size", "16", "--seed", "3"]
+    outputs = {"workspace": cli(train, manifest)}
+    outputs["report"] = cli(["eval", "--format", "json", "--seed", "3"], outputs["workspace"])
+    digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in outputs.items()}
+    assert digests == PINNED_GNN_OUTPUTS
 
 
 def test_out_flag_writes_file(tmp_path, plain_file):
@@ -290,6 +334,26 @@ def test_train_gnn_without_validation_slice(pipeline):
     )
     assert code == 0, err
     assert "val_acc n/a" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--batch-size", "0", "batch_size must be an integer >= 1"),
+        ("--batch-size", "-5", "batch_size must be an integer >= 1"),
+        ("--lr", "nan", "learning_rate must be a finite number > 0"),
+        ("--lr", "inf", "learning_rate must be a finite number > 0"),
+    ],
+)
+def test_train_gnn_rejects_bad_settings(pipeline, flag, value, message):
+    # each once crashed (exit 4), trained on no batch, or wrote weights
+    # that eval then refused; now the run stops before training
+    code, out, err = run_cli(
+        ["train", "--model", "gnn", "--epochs", "1", flag, value], stdin_text=pipeline[1]
+    )
+    assert code == 3, err
+    assert out == ""
+    assert message in err
 
 
 def test_train_checkpoint_out(tmp_path, pipeline):

@@ -391,6 +391,8 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["samples"][0].pop("graph"))
     corrupt(lambda d: d.update(split={"train": [0]}))
     corrupt(lambda d: d["split"]["train"].append(0))  # overlap/cover violation
+    corrupt(lambda d: d["split"]["train"].append(d["split"]["train"][0]))  # listed twice
+    corrupt(lambda d: d["split"]["test"].append(d["split"]["test"][0]))
     corrupt(lambda d: d.update(folds=[[0]]))  # version 3 dropped folds: an unknown field
     corrupt(lambda d: d["split"]["train"].__setitem__(0, "x"))
     corrupt(lambda d: d["split"]["train"].__setitem__(0, d["split"]["train"][0] + 0.5))

@@ -6,12 +6,18 @@ import math
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from refactorlab.errors import CheckpointError, DataError, DimensionMismatchError
 from refactorlab.gcn import (
     GcnConfig,
     TrainConfig,
+    _assemble_batch,
+    _backward_from_cache,
     _bce_logits,
+    _forward_full,
+    _loss_from_cache,
+    _sample_tensors,
     aggregation_matrix,
     backward,
     forward,
@@ -25,7 +31,7 @@ from refactorlab.gcn import (
     suggest_split,
     train,
 )
-from refactorlab.graph import CodeGraph, EdgeRecord, NodeRecord, build_graph
+from refactorlab.graph import EDGE_STRENGTH, CodeGraph, EdgeRecord, NodeRecord, build_graph
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.split import split_points
 from refactorlab.rng import Rng
@@ -69,6 +75,47 @@ def test_aggregation_matrix_by_hand():
     want[2, 3] = want[3, 2] = 2 / 3  # two parallel edges add their strengths
     assert np.allclose(A.toarray(), want, atol=1e-15)
     assert A.shape == (4, 4)
+
+
+def reference_aggregation(graph: CodeGraph) -> sparse.csr_matrix:
+    """The gate matrix summed in a dict, one edge at a time, then handed to
+    scipy's COO constructor, which sorts the entries into canonical CSR."""
+    n = len(graph.nodes)
+    gates: dict[tuple[int, int], float] = {}
+    for e in graph.edges:
+        s = e.features[EDGE_STRENGTH]
+        gates[e.dst, e.src] = gates.get((e.dst, e.src), 0.0) + s
+        gates[e.src, e.dst] = gates.get((e.src, e.dst), 0.0) + s
+    for v in range(n):
+        gates[v, v] = gates.get((v, v), 0.0) + 1.0
+    at = np.array(list(gates), dtype=np.int64).reshape(-1, 2)
+    vals = np.array(list(gates.values()), dtype=np.float64)
+    return sparse.csr_matrix((vals, (at[:, 0], at[:, 1])), shape=(n, n))
+
+
+def random_graph(rng: Rng) -> CodeGraph:
+    """Random ids, strengths and edges: parallel, reversed and self-edges
+    included, so several terms fall on one entry in a scrambled order."""
+    n = 1 + rng.randrange(40)
+    nodes = [NodeRecord(id=i, kind="Name", features=[0.0] * 12) for i in range(n)]
+    edges = []
+    for _ in range(rng.randrange(3 * n + 1)):
+        feats = [0.0] * 6
+        feats[EDGE_STRENGTH] = rng.random() * 2.0 - 0.5
+        edges.append(EdgeRecord(src=rng.randrange(n), dst=rng.randrange(n), kind="DataFlow", features=feats))
+    return CodeGraph(nodes=nodes, edges=edges, source_digest="")
+
+
+def test_aggregation_matrix_matches_reference_build_bit_for_bit():
+    rng = Rng(2504)
+    for case in range(150):
+        graph = random_graph(rng)
+        got, want = aggregation_matrix(graph), reference_aggregation(graph)
+        assert got.shape == want.shape
+        assert np.array_equal(got.indptr, want.indptr), case
+        assert np.array_equal(got.indices, want.indices), case
+        # compare the bits, so a sum taken in another order shows
+        assert got.data.tobytes() == want.data.tobytes(), case
 
 
 # --- layer forward vs straight-line oracle --------------------------------------------
@@ -152,6 +199,40 @@ def test_gradient_check_on_small_graphs():
         split = len(graph.nodes) - 1
         worst = gradient_check(model, graph, label=i % 2, split_label=split)
         assert worst <= 1e-4, f"gradient mismatch {worst} on case {i}"
+
+
+def test_training_mode_gradient_check_with_fixed_dropout():
+    # two graphs stacked, as training batches them, and a fixed dropout
+    # draw: every loss evaluation re-seeds the generator, so the finite
+    # differences see the very masks the analytic pass used
+    model = init_model(21, GcnConfig(layers=4, units=6, dropout=0.4))
+    graphs = [tiny_graph(), build_graph(parse_source(SPLITTABLE_SRC))]
+    tensors = [
+        _sample_tensors(g, model.config, float(i % 2), len(g.nodes) - 1 - i)
+        for i, g in enumerate(graphs)
+    ]
+    X, A, counts, labels, splits = _assemble_batch(tensors)
+
+    def cache():
+        return _forward_full(model, X, A, counts, np.random.default_rng(77))
+
+    analytic = _backward_from_cache(model, cache(), labels, splits)
+    dropped = sum(int(np.count_nonzero(H == 0.0)) for H in cache()["H"][:-1])
+    assert dropped > 0  # the draw masked units out
+    step, worst = 1e-6, 0.0
+    for name in model.param_names():
+        flat = model.weights[name].reshape(-1)
+        grad = analytic[name].reshape(-1)
+        for i in range(flat.size):
+            keep = flat[i]
+            flat[i] = keep + step
+            up = _loss_from_cache(cache(), labels, splits)
+            flat[i] = keep - step
+            down = _loss_from_cache(cache(), labels, splits)
+            flat[i] = keep
+            fd = (up - down) / (2.0 * step)
+            worst = max(worst, abs(fd - grad[i]) / max(abs(fd), abs(grad[i]), 1e-6))
+    assert worst <= 1e-4, f"gradient mismatch {worst}"
 
 
 def test_backward_covers_every_parameter():
@@ -239,6 +320,25 @@ def test_train_loss_decreases(small_dataset):
         model, small_dataset, TrainConfig(epochs=10, seed=42, learning_rate=0.005)
     )
     assert history.epochs[-1]["train_loss"] < history.epochs[0]["train_loss"]
+
+
+def test_train_config_rejects_bad_values():
+    for bad in (
+        {"epochs": 0},
+        {"epochs": True},
+        {"epochs": 2.0},
+        {"batch_size": 0},
+        {"batch_size": -5},
+        {"batch_size": True},
+        {"learning_rate": 0.0},
+        {"learning_rate": -0.1},
+        {"learning_rate": float("nan")},
+        {"learning_rate": float("inf")},
+        {"learning_rate": True},
+    ):
+        with pytest.raises(DataError):
+            TrainConfig(**bad)
+    TrainConfig(epochs=1, batch_size=1, learning_rate=1)
 
 
 def test_train_rejects_empty_dataset():
