@@ -53,11 +53,9 @@ from .errors import (
     DataError,
     InvariantError,
     LexError,
-    MiniPyRuntimeError,
     ParseError,
     RefactorLabError,
     SchemaError,
-    SplitError,
 )
 from .evalreport import compare, pr_points_to_csv, report_to_csv, report_to_json
 from .gcn import (
@@ -106,19 +104,17 @@ class _Parser(argparse.ArgumentParser):
 # --------------------------------------------------------------------------
 
 
-def _read_source(path: str) -> str:
+def _read_text(path: str | None) -> str:
+    """A file's UTF-8 text or, when path is None, stdin's."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+        return Path(path).read_text(encoding="utf-8") if path else sys.stdin.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {path or 'stdin'}: {exc}") from exc
 
 
 def _read_json(path: str | None, kind: str) -> dict:
     """Load a JSON document from a file or, when path is None, stdin."""
-    try:
-        text = Path(path).read_text(encoding="utf-8") if path else sys.stdin.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    text = _read_text(path)
     if not text.strip():
         raise SchemaError(f"empty input; expected a {kind} document")
     try:
@@ -149,7 +145,7 @@ def _dumps(doc: dict) -> str:
 
 
 def _parse_file(path: str):
-    return parse_source(_read_source(path))
+    return parse_source(_read_text(path))
 
 
 # --------------------------------------------------------------------------
@@ -199,6 +195,7 @@ def _train_gnn(dataset: Dataset, seed: int, config: TrainConfig) -> GcnModel:
             file=sys.stderr,
         )
     return fitted
+
 
 def _train_dtree(dataset: Dataset, params: DTreeParams) -> DTreeModel:
     rows = [dataset.samples[i] for i in dataset.split["train"]]
@@ -347,10 +344,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         standalone = checkpoints["dtree"]
     if args.checkpoint_out:
         try:
-            Path(args.checkpoint_out).write_text(
-                json.dumps(standalone, sort_keys=True, separators=(",", ":")) + "\n",
-                encoding="utf-8",
-            )
+            Path(args.checkpoint_out).write_text(_dumps(standalone) + "\n", encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot write {args.checkpoint_out}: {exc}") from exc
         print(f"wrote checkpoint {args.checkpoint_out}", file=sys.stderr)
@@ -580,9 +574,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     except InvariantError as exc:
         print(f"{PROG}: internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (SchemaError, DataError, SplitError, MiniPyRuntimeError) as exc:
-        print(f"{PROG}: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except RefactorLabError as exc:
         print(f"{PROG}: data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -36,6 +36,7 @@ from .errors import (
 )
 from .graph import (
     NODE_FEATURE_DIM,
+    NODE_TYPE_INDEX,
     CodeGraph,
     build_graph,
     check_numbers,
@@ -61,10 +62,6 @@ SMOTE_NEIGHBORS = 5
 # Relative amplitude of the node-feature jitter applied to oversampled
 # graph copies; the interpolation coefficient u scales it.
 JITTER_SCALE = 0.05
-
-# Node-feature column holding type_index; it encodes the node kind and is
-# the one discrete column jitter must not touch.
-_TYPE_INDEX_COL = 2
 
 
 # --- bookkeeping -------------------------------------------------------------
@@ -153,35 +150,28 @@ class Dataset:
 
 
 def ingest_dir(path: str | Path) -> tuple[list[SourceUnit], Provenance]:
-    """Read every *.mpy file under ``path``; parse failures are counted out.
+    """Read every *.mpy file under ``path`` and triage them with ``ingest_units``.
 
     Unreadable files are logged and skipped without aborting the walk.
-    Returned units are the parseable ones, in path order.
+    Bytes that are not UTF-8 read as U+FFFD, which the lexer rejects, so
+    such a file counts as ingested and as a parse failure.
     """
     root = Path(path)
     if not root.is_dir():
         raise DataError(f"not a directory: {root}")
-    prov = Provenance()
     units: list[SourceUnit] = []
     for file in sorted(root.rglob("*.mpy")):
         try:
-            body = file.read_text(encoding="utf-8")
+            body = file.read_text(encoding="utf-8", errors="replace")
         except OSError as exc:
             log.warning("skipping unreadable file %s: %s", file, exc)
             continue
-        prov.ingested += 1
-        rel = file.relative_to(root).as_posix()
-        try:
-            parse_source(body)
-        except (LexError, ParseError):
-            prov.parse_failed += 1
-            continue
-        units.append(SourceUnit.from_text(rel, body))
-    return units, prov
+        units.append(SourceUnit.from_text(file.relative_to(root).as_posix(), body))
+    return ingest_units(units)
 
 
 def ingest_units(units: Iterable[SourceUnit]) -> tuple[list[SourceUnit], Provenance]:
-    """Triage in-memory units the same way ingest_dir triages files."""
+    """Count every unit as ingested; keep those that parse, in order."""
     prov = Provenance()
     kept: list[SourceUnit] = []
     for unit in units:
@@ -300,7 +290,7 @@ def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
     for node in out.nodes:
         feats = list(node.features)
         for col in range(NODE_FEATURE_DIM):
-            if col != _TYPE_INDEX_COL:
+            if col != NODE_TYPE_INDEX:
                 feats[col] = feats[col] * factor
         node.features = feats
     return out
@@ -540,6 +530,10 @@ def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
         or not 0 <= split_node < len(graph.nodes)
     ):
         raise SchemaError(f"{where}.split_node must be a node id of its graph")
+    if graph.label is not None and graph.label != label:
+        raise SchemaError(f"{where}.graph.label differs from {where}.label")
+    if graph.split_node is not None and graph.split_node != split_node:
+        raise SchemaError(f"{where}.graph.split_node differs from {where}.split_node")
     source = doc.get("source")
     if source is not None and not isinstance(source, str):
         raise SchemaError(f"{where}.source must be a string")

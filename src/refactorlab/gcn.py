@@ -47,7 +47,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
 )
-from .graph import EDGE_STRENGTH, CodeGraph
+from .graph import EDGE_STRENGTH, NODE_FEATURE_DIM, CodeGraph
 from .rng import Rng
 
 CHECKPOINT_VERSION = "2"
@@ -65,7 +65,7 @@ class GcnConfig:
     layers: int = 4
     units: int = 128
     dropout: float = 0.4
-    input_dim: int = 12
+    input_dim: int = NODE_FEATURE_DIM
 
     def __post_init__(self) -> None:
         for name in ("layers", "units", "input_dim"):
@@ -108,8 +108,8 @@ class GcnModel:
     weights: dict[str, np.ndarray]
     # per-feature input standardization constants, fitted on the train
     # split and frozen into the checkpoint; identity until trained
-    feature_mu: np.ndarray = field(default_factory=lambda: np.zeros(12, dtype=np.float64))
-    feature_sigma: np.ndarray = field(default_factory=lambda: np.ones(12, dtype=np.float64))
+    feature_mu: np.ndarray = field(default_factory=lambda: np.zeros(NODE_FEATURE_DIM))
+    feature_sigma: np.ndarray = field(default_factory=lambda: np.ones(NODE_FEATURE_DIM))
 
     def param_names(self) -> list[str]:
         names = []

@@ -65,11 +65,12 @@ EDGE_FEATURE_NAMES: tuple[str, ...] = (
     "strength",  # 1 / (1 + tree_distance)
 )
 
-NODE_FEATURE_DIM = 12
-EDGE_FEATURE_DIM = 6
+NODE_FEATURE_DIM = len(NODE_FEATURE_NAMES)
+EDGE_FEATURE_DIM = len(EDGE_FEATURE_NAMES)
 
 # the feature columns read outside graph building
 NODE_LINES = NODE_FEATURE_NAMES.index("lines_in_subtree")
+NODE_TYPE_INDEX = NODE_FEATURE_NAMES.index("type_index_scaled")
 NODE_SUBTREE_CC = NODE_FEATURE_NAMES.index("subtree_cyclomatic")
 EDGE_STRENGTH = EDGE_FEATURE_NAMES.index("strength")
 
@@ -142,9 +143,9 @@ def _structural_edges(tree: AstTree) -> list[tuple[int, int, str]]:
     for assign in tree.nodes:
         if assign.kind != "Assign" or assign.name is None:
             continue
-        scope = tree.enclosing_function(assign.id)
+        scope = tree.enclosing[assign.id]
         for reader in tree.nodes[assign.id + 1:]:
-            if tree.enclosing_function(reader.id) != scope:
+            if tree.enclosing[reader.id] != scope:
                 continue
             if assign.name in _node_reads(reader):
                 flow.add((assign.id, reader.id))
@@ -175,18 +176,12 @@ def _node_feature_table(
         loops = sum(1 for d in node.walk() if d.kind in ("For", "While"))
         imports = sum(1 for d in node.walk() if d.kind == "Import")
         subtree_nodes = sum(1 for _ in node.walk())
-        scope_depth = 0
-        p = tree.parent[node.id]
-        while p is not None:
-            if tree.nodes[p].kind == "FunctionDef":
-                scope_depth += 1
-            p = tree.parent[p]
         table.append(
             [
                 float(node.span[1] - node.span[0] + 1),
-                float(tree.depth(node.id)),
+                float(tree.depths[node.id]),
                 KIND_INDEX[node.kind] / 10.0,
-                float(scope_depth),
+                float(tree.scope_depths[node.id]),
                 float(len(variables)),
                 float(in_deg[node.id]),
                 float(out_deg[node.id]),

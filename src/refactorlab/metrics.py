@@ -2,9 +2,11 @@
 
 ``cyclomatic`` counts decision nodes; ``cyclomatic_cfg_oracle`` builds a
 basic-block control-flow graph and computes E - N + 2 independently, so
-the two can cross-check each other.  ``flat_features`` flattens a tree
-plus its code graph into the fixed 35-dimensional vector consumed by the
-decision tree and threshold rules.
+the two can cross-check each other.  ``coupling`` is the one definition
+of coupling, over any subtree: the module's at node 0, a function's at
+its FunctionDef.  ``flat_features`` flattens a tree plus its code graph
+into the fixed 35-dimensional vector consumed by the decision tree and
+threshold rules.
 """
 
 from __future__ import annotations
@@ -103,28 +105,20 @@ def cyclomatic_cfg_oracle(fn: AstNode) -> int:
 # --- coupling -----------------------------------------------------------------
 
 
-def coupling(tree: AstTree, project_index: dict[str, str] | None = None) -> int:
-    """Distinct external dependency targets of a module.
+def coupling(tree: AstTree, node_id: int = 0) -> int:
+    """Distinct imported modules that the subtree at ``node_id`` reaches.
 
-    Counts imported module names that are actually used via a dotted call,
-    plus called function names that the project index locates in another
-    file (functions defined in this tree are local regardless).
+    A module counts when the tree imports it (anywhere) and a dotted call
+    ``module.name(...)`` inside the subtree names it.  Node 0 is the
+    module; a FunctionDef's subtree includes its nested functions.
     """
-    index = project_index or {}
     imports = {n.name for n in tree.nodes if n.kind == "Import" and n.name}
-    local_fns = {fn.name for fn in tree.functions()}
-    used_imports: set[str] = set()
-    external_fns: set[str] = set()
-    for node in tree.nodes:
-        if node.kind != "Call" or not node.name:
-            continue
-        if "." in node.name:
-            base = node.name.split(".")[0]
-            if base in imports:
-                used_imports.add(base)
-        elif node.name in index and node.name not in local_fns:
-            external_fns.add(node.name)
-    return len(used_imports) + len(external_fns)
+    reached = {
+        n.name.split(".")[0]
+        for n in tree.nodes[node_id].walk()
+        if n.kind == "Call" and n.name and "." in n.name
+    }
+    return len(reached & imports)
 
 
 # --- metrics report --------------------------------------------------------------
@@ -139,9 +133,7 @@ class MetricsReport:
         return {"per_function": self.per_function, "module": self.module}
 
 
-def metrics_report(
-    tree: AstTree, project_index: dict[str, str] | None = None
-) -> MetricsReport:
+def metrics_report(tree: AstTree) -> MetricsReport:
     """Per-function cyclomatic/lines plus module-level counts."""
     per_function: dict[str, dict[str, int]] = {}
     for fn in tree.functions():
@@ -156,28 +148,15 @@ def metrics_report(
         n.name for n in tree.nodes if n.kind in ("Assign", "For") and n.name
     }
     module = {
-        "coupling": coupling(tree, project_index),
+        "coupling": coupling(tree),
         "imports": sum(1 for n in tree.nodes if n.kind == "Import"),
         "loops": sum(1 for n in tree.nodes if n.kind in ("For", "While")),
         "variables": len(variables),
         "functions": len(tree.functions()),
-        "max_scope_depth": _max_scope_depth(tree),
+        "max_scope_depth": max(tree.scope_depths),
         "total_cyclomatic": sum(v["cyclomatic"] for v in per_function.values()),
     }
     return MetricsReport(per_function=per_function, module=module)
-
-
-def _max_scope_depth(tree: AstTree) -> int:
-    best = 0
-    for node in tree.nodes:
-        depth = 0
-        p = tree.parent[node.id]
-        while p is not None:
-            if tree.nodes[p].kind == "FunctionDef":
-                depth += 1
-            p = tree.parent[p]
-        best = max(best, depth)
-    return best
 
 
 # --- flat features -----------------------------------------------------------------
@@ -209,7 +188,7 @@ FLAT_FEATURE_NAMES: tuple[str, ...] = tuple(
     ]
 )
 
-FLAT_DIM = 35
+FLAT_DIM = len(FLAT_FEATURE_NAMES)
 
 # indices used by cap_outliers and the rule engine
 FLAT_LINES = FLAT_FEATURE_NAMES.index("lines")
@@ -247,7 +226,7 @@ def flat_features(tree: AstTree, graph: CodeGraph) -> FlatFeatures:
     for e in graph.edges:
         edge_counts[e.kind] += 1
     n_nodes = len(tree.nodes)
-    depths = [tree.depth(n.id) for n in tree.nodes]
+    depths = tree.depths
     fns = tree.functions()
     fn_ccs = [cyclomatic(fn) for fn in fns]
     fan_outs = []
@@ -278,12 +257,12 @@ def flat_features(tree: AstTree, graph: CodeGraph) -> FlatFeatures:
         float(len(fns)),
         float(max(depths)),
         sum(depths) / n_nodes,
-        float(_max_scope_depth(tree)),
+        float(max(tree.scope_depths)),
         float(node_counts["Import"]),
         float(sum(fn_ccs)),
         float(max(fn_ccs)) if fn_ccs else 0.0,
         sum(fn_ccs) / len(fn_ccs) if fn_ccs else 0.0,
-        float(coupling(tree, {})),
+        float(coupling(tree)),
         float(max(fan_outs)) if fan_outs else 0.0,
         sum(fan_outs) / len(fan_outs) if fan_outs else 0.0,
         density,

@@ -172,43 +172,52 @@ def structural_equal(a: AstNode, b: AstNode) -> bool:
 
 @dataclass
 class AstTree:
-    """A rooted MiniPy AST with dense preorder ids and parent links."""
+    """A rooted MiniPy AST with dense preorder ids and parent links.
+
+    ``from_root`` records, per node id, the tree measures read elsewhere:
+    ``depths`` (edges from the root), ``enclosing`` (the nearest FunctionDef
+    ancestor, else the Module root 0) and ``scope_depths`` (the number of
+    FunctionDef ancestors).  A FunctionDef belongs to the scope that
+    contains it, so neither its own id nor its own scope counts.
+    """
 
     root: AstNode
     nodes: list[AstNode] = field(default_factory=list)
     parent: list[int | None] = field(default_factory=list)
+    depths: list[int] = field(default_factory=list)
+    enclosing: list[int] = field(default_factory=list)
+    scope_depths: list[int] = field(default_factory=list)
 
     @classmethod
     def from_root(cls, root: AstNode) -> "AstTree":
         if root.kind != "Module":
             raise InvariantError(f"tree root must be Module, got {root.kind}")
-        nodes: list[AstNode] = []
-        parent: list[int | None] = []
+        tree = cls(root=root)
+        nodes, parent = tree.nodes, tree.parent
+        depths, enclosing, scope_depths = tree.depths, tree.enclosing, tree.scope_depths
 
-        def assign(node: AstNode, parent_id: int | None) -> None:
+        def assign(
+            node: AstNode, parent_id: int | None, depth: int, fn_id: int, scope: int
+        ) -> None:
             node.id = len(nodes)
             nodes.append(node)
             parent.append(parent_id)
+            depths.append(depth)
+            enclosing.append(fn_id)
+            scope_depths.append(scope)
+            if node.kind == "FunctionDef":
+                fn_id, scope = node.id, scope + 1
             for child in node.children:
-                assign(child, node.id)
+                assign(child, node.id, depth + 1, fn_id, scope)
 
-        assign(root, None)
-        return cls(root=root, nodes=nodes, parent=parent)
+        assign(root, None, 0, 0, 0)
+        return tree
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def node(self, node_id: int) -> AstNode:
         return self.nodes[node_id]
-
-    def depth(self, node_id: int) -> int:
-        """Edges from the root to this node."""
-        d = 0
-        p = self.parent[node_id]
-        while p is not None:
-            d += 1
-            p = self.parent[p]
-        return d
 
     def ancestors(self, node_id: int) -> list[int]:
         """Path root..node inclusive, as ids."""
@@ -221,27 +230,30 @@ class AstTree:
         return path
 
     def tree_distance(self, a: int, b: int) -> int:
-        """Path length between two nodes in the tree (via lowest common ancestor)."""
-        pa = self.ancestors(a)
-        pb = self.ancestors(b)
-        lca_depth = 0
-        for x, y in zip(pa, pb):
-            if x != y:
-                break
-            lca_depth += 1
-        return (len(pa) - lca_depth) + (len(pb) - lca_depth)
+        """Path length between two nodes in the tree (via lowest common ancestor).
+
+        The deeper node climbs to the other's depth, then both climb until
+        they meet.
+        """
+        parent, depths = self.parent, self.depths
+        distance = 0
+        while depths[a] > depths[b]:
+            a = parent[a]
+            distance += 1
+        while depths[b] > depths[a]:
+            b = parent[b]
+            distance += 1
+        while a != b:
+            a, b = parent[a], parent[b]
+            distance += 2
+        return distance
 
     def enclosing_function(self, node_id: int) -> int:
         """Id of the nearest FunctionDef ancestor, else the Module root (0).
 
         A FunctionDef node belongs to the scope that contains it.
         """
-        p = self.parent[node_id]
-        while p is not None:
-            if self.nodes[p].kind == "FunctionDef":
-                return p
-            p = self.parent[p]
-        return 0
+        return self.enclosing[node_id]
 
     def functions(self) -> list[AstNode]:
         """All FunctionDef nodes in preorder."""

@@ -2,7 +2,8 @@
 
 Three rules with strict thresholds: LongMethod for functions over 20
 lines, HighComplexity for functions over 10 cyclomatic paths, and
-HighCoupling for modules over 5 external dependencies.  The rules see
+HighCoupling for modules over 5 external dependencies, measured by
+``metrics.coupling``, the one definition of coupling.  The rules see
 only per-function totals, so two functions with equal lines and
 complexity always get the same verdict regardless of structure.
 """
@@ -43,9 +44,7 @@ class Finding:
         }
 
 
-def analyze_rules(
-    tree: AstTree, project_index: dict[str, str] | None = None
-) -> list[Finding]:
+def analyze_rules(tree: AstTree) -> list[Finding]:
     """All rule violations, ordered by (rule, target id)."""
     findings: list[Finding] = []
     for fn in tree.functions():
@@ -74,7 +73,7 @@ def analyze_rules(
                     suggestion=f"simplify or split: {name} has {int(cc)} paths",
                 )
             )
-    deps = float(coupling(tree, project_index))
+    deps = float(coupling(tree))
     if deps > HIGH_COUPLING_DEPS:
         findings.append(
             Finding(
@@ -90,9 +89,9 @@ def analyze_rules(
     return findings
 
 
-def classify_rules(tree: AstTree, project_index: dict[str, str] | None = None) -> int:
+def classify_rules(tree: AstTree) -> int:
     """1 (refactor) iff any rule fires, else 0 (keep)."""
-    return 1 if analyze_rules(tree, project_index) else 0
+    return 1 if analyze_rules(tree) else 0
 
 
 def classify_rules_graph(graph: CodeGraph, flat: FlatFeatures) -> int:

@@ -1,11 +1,12 @@
 """DOT and static HTML renderings of code graphs.
 
-Function nodes are colored by their metrics: red when subtree cyclomatic
-complexity exceeds the hot threshold, green when the function's local
-coupling stays under the cool threshold, gray otherwise; non-function
-nodes are never red.  Structural edges (containment, sibling order,
-control flow) draw blue, reference edges (calls, data flow) purple, all
-with a unit stroke.
+Function nodes are colored by their metrics: red when cyclomatic
+complexity exceeds the hot threshold, green when the function's coupling
+(``metrics.coupling`` over its subtree, the one definition of coupling)
+stays under the cool threshold, gray otherwise; non-function nodes are
+never red.  Structural edges (containment, sibling order, control flow)
+draw blue, reference edges (calls, data flow) purple, all with a unit
+stroke.
 
 The HTML view is fully self-contained — inline SVG, no scripts, no
 network fetches — with before/after panels and a metrics caption, and is
@@ -16,8 +17,8 @@ from __future__ import annotations
 
 import html
 
-from .graph import NODE_SUBTREE_CC, CodeGraph, EdgeRecord
-from .metrics import cyclomatic
+from .graph import CodeGraph, EdgeRecord
+from .metrics import coupling, cyclomatic
 from .minipy.nodes import AstTree
 
 _CONTROL_EDGES = frozenset({"Parent", "NextSibling", "ControlFlow"})
@@ -28,22 +29,11 @@ GREEN_COUPLING_THRESHOLD = 4.0
 
 
 def function_render_metrics(tree: AstTree) -> dict[int, dict[str, float]]:
-    """Per-FunctionDef cyclomatic and local coupling, keyed by node id.
-
-    Local coupling is the number of distinct imported modules the
-    function's own subtree touches through dotted calls.
-    """
-    imports = {n.name for n in tree.nodes if n.kind == "Import" and n.name}
-    out: dict[int, dict[str, float]] = {}
-    for fn in tree.functions():
-        used: set[str] = set()
-        for node in fn.walk():
-            if node.kind == "Call" and node.name and "." in node.name:
-                base = node.name.split(".")[0]
-                if base in imports:
-                    used.add(base)
-        out[fn.id] = {"cyclomatic": float(cyclomatic(fn)), "coupling": float(len(used))}
-    return out
+    """Per-FunctionDef cyclomatic and coupling, keyed by node id."""
+    return {
+        fn.id: {"cyclomatic": float(cyclomatic(fn)), "coupling": float(coupling(tree, fn.id))}
+        for fn in tree.functions()
+    }
 
 
 def _node_color(kind: str, node_id: int, metrics: dict[int, dict[str, float]]) -> str:
@@ -63,19 +53,12 @@ def _edge_color(edge: EdgeRecord) -> str:
     return "blue" if edge.kind in _CONTROL_EDGES else "purple"
 
 
-def to_dot(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None = None) -> str:
+def to_dot(graph: CodeGraph, metrics: dict[int, dict[str, float]]) -> str:
     """Render a graph as a DOT digraph with the metric color scheme.
 
     ``metrics`` maps FunctionDef node ids to their cyclomatic/coupling
-    values (see function_render_metrics); without it every function node
-    falls back to its subtree-cyclomatic node feature and zero coupling.
+    values, as ``function_render_metrics`` gives them.
     """
-    if metrics is None:
-        metrics = {
-            n.id: {"cyclomatic": float(n.features[NODE_SUBTREE_CC]), "coupling": 0.0}
-            for n in graph.nodes
-            if n.kind == "FunctionDef"
-        }
     lines = ["digraph code {", "  rankdir=TB;"]
     for node in graph.nodes:
         color = _node_color(node.kind, node.id, metrics)
@@ -133,13 +116,7 @@ def _layout(graph: CodeGraph) -> dict[int, tuple[float, int]]:
     return pos
 
 
-def _svg_for(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None) -> str:
-    if metrics is None:
-        metrics = {
-            n.id: {"cyclomatic": float(n.features[NODE_SUBTREE_CC]), "coupling": 0.0}
-            for n in graph.nodes
-            if n.kind == "FunctionDef"
-        }
+def _svg_for(graph: CodeGraph, metrics: dict[int, dict[str, float]]) -> str:
     pos = _layout(graph)
     max_x = max((p[0] for p in pos.values()), default=0.0)
     max_d = max((p[1] for p in pos.values()), default=0)
@@ -177,31 +154,30 @@ def _svg_for(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None) -> s
     return "".join(parts)
 
 
-def _caption_value(graph: CodeGraph, metrics: dict[int, dict[str, float]] | None) -> str:
-    if metrics:
-        cc = max(m["cyclomatic"] for m in metrics.values())
-        cp = max(m["coupling"] for m in metrics.values())
-        return f"CC {cc:g}, coupling {cp:g}"
-    fn_cc = [n.features[NODE_SUBTREE_CC] for n in graph.nodes if n.kind == "FunctionDef"]
-    if fn_cc:
-        return f"CC {max(fn_cc):g}"
-    root_cc = graph.nodes[0].features[NODE_SUBTREE_CC] if graph.nodes else 0.0
-    return f"CC {root_cc:g}"
+def _caption_value(metrics: dict[int, dict[str, float]]) -> str:
+    if not metrics:
+        return "no functions"
+    cc = max(m["cyclomatic"] for m in metrics.values())
+    cp = max(m["coupling"] for m in metrics.values())
+    return f"CC {cc:g}, coupling {cp:g}"
 
 
 def to_html(
     before: CodeGraph,
+    before_metrics: dict[int, dict[str, float]],
     after: CodeGraph | None = None,
-    before_metrics: dict[int, dict[str, float]] | None = None,
     after_metrics: dict[int, dict[str, float]] | None = None,
 ) -> str:
-    """Self-contained HTML with inline SVG panels and a metrics caption."""
+    """Self-contained HTML with inline SVG panels and a metrics caption.
+
+    Each panel's metrics come from ``function_render_metrics`` on its
+    tree; ``after_metrics`` goes with ``after``.
+    """
     panels = [("before", before, before_metrics)]
+    caption = _caption_value(before_metrics)
     if after is not None:
         panels.append(("after", after, after_metrics))
-    caption = _caption_value(before, before_metrics)
-    if after is not None:
-        caption += " → " + _caption_value(after, after_metrics)
+        caption += " → " + _caption_value(after_metrics)
     body = []
     for title, graph, metrics in panels:
         body.append(

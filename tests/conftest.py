@@ -87,6 +87,35 @@ def hub(x):
 """
 
 
+# Six imported modules reached through dotted calls: at module level, in
+# `relay`, and in the nested `mix` (scope depth 2), with two Imports inside
+# a function and one after it.  Module coupling 6 trips the coupling rule;
+# `relay` reaches 5 modules, `mix` 3.
+COUPLED_SRC = """\
+import alpha
+import beta
+import delta
+
+def relay(n):
+    import gamma
+    import zeta
+    a = alpha.pull(n)
+    def mix(k):
+        b = beta.push(k)
+        c = gamma.blend(b, a)
+        e = delta.fold(c)
+        return e
+    d = mix(a)
+    if d > 3:
+        d = zeta.trim(d)
+    return d
+
+import epsilon
+x = alpha.pull(1)
+y = epsilon.push(x)
+print(relay(y))
+"""
+
 @pytest.fixture
 def splittable_tree():
     return parse_source(SPLITTABLE_SRC)

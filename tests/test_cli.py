@@ -19,7 +19,7 @@ from refactorlab.minipy.printer import pretty_print
 from refactorlab.minipy.split import extract_split
 from refactorlab.viz import function_render_metrics, to_html
 
-from conftest import PLAIN_SRC, SPLITTABLE_SRC, run_cli
+from conftest import COUPLED_SRC, PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -101,13 +101,20 @@ def test_seed_is_echoed(plain_file):
     assert json.loads(out)["seed"] == 7
 
 
-# sha256 of the output bytes, recorded before the edge-weight scan and the
-# render-style options were deleted; both deletions had to keep every byte
+# sha256 of the output bytes.  The tally.mpy cases were recorded before the
+# edge-weight scan and the render-style options were deleted; the relay.mpy
+# cases (imports reached from module level, from a function and from a
+# nested function, scope depth 2) before depth and scope were recorded once
+# per tree and coupling was defined once.  Each refactor kept every byte.
 PINNED_OUTPUTS = {
     "graph": "6b1b3a5140d7e19a25a3d69486d45b5824ea726aa0d75022c14820a59423dabb",
     "viz": "d24bb2d54c8ca5f0a6b92eb08ae5c09eaabad680e12c976c866a941582a20349",
     "viz_split": "0a3065c2668a9393654194caf5a112174507b9b8df068d80ae2c5509bf45ff2f",
     "viz_dot": "c644d9f7cf0e73e85a3c7379ff1e30b80ebd9857e5038909adff83d02ef60538",
+    "relay_graph": "ae5c597b332d6a054c7657b5969f070e51e219b97c5ec3b188f2d25f62c8e6dc",
+    "relay_metrics": "94397bd83ed7286a2b960fffabf0ffbd516a358482f50c7f2271c2fb5d8c14ae",
+    "relay_rules": "56c36c2f0696c4b1b5a9a4efd21027933ce13803652cb1bfe575cbd27bc4ea80",
+    "relay_viz": "8821420d980041adfa87d028ce6aa617ea622ee8c15c390e89b4c2599b8baec2",
 }
 
 
@@ -115,12 +122,17 @@ PINNED_OUTPUTS = {
 def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)  # the graph document echoes the path it was given
     (tmp_path / "tally.mpy").write_text(SPLITTABLE_SRC)
+    (tmp_path / "relay.mpy").write_text(COUPLED_SRC)
     split_id = parse_source(SPLITTABLE_SRC).functions()[0].children[2].id
     argv = {
         "graph": ["graph", "tally.mpy", "--format", "json"],
         "viz": ["viz", "tally.mpy", "--out", "-"],
         "viz_split": ["viz", "tally.mpy", "--split", str(split_id), "--out", "-"],
         "viz_dot": ["viz", "tally.mpy", "--out", "tally.dot"],
+        "relay_graph": ["graph", "relay.mpy", "--format", "json"],
+        "relay_metrics": ["metrics", "relay.mpy", "--format", "json"],
+        "relay_rules": ["rules", "relay.mpy", "--format", "json"],
+        "relay_viz": ["viz", "relay.mpy", "--out", "-"],
     }[name]
     code, out, err = run_cli(argv)
     assert code == 0, err
@@ -237,6 +249,26 @@ def test_exit_data_on_missing_file():
     code, _, err = run_cli(["metrics", "/no/such/file.mpy"])
     assert code == 3
     assert "data error" in err
+
+
+def test_exit_data_on_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "latin.mpy"
+    path.write_bytes(b"x = \xff\n")
+    for argv in (["parse", str(path)], ["eval", "--data", str(path)]):
+        code, _, err = run_cli(argv)
+        assert code == 3, err
+        assert err.startswith(f"refactorlab: data error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+
+def test_corpus_build_counts_a_file_that_is_not_utf8_as_a_parse_failure(tmp_path):
+    for name, src in (("a", SPLITTABLE_SRC), ("b", PLAIN_SRC), ("c", UNSPLITTABLE_SRC)):
+        (tmp_path / f"{name}.mpy").write_text(src)
+    (tmp_path / "latin.mpy").write_bytes(PLAIN_SRC.encode("utf-8") + b"z = \xff\n")
+    code, out, err = run_cli(["corpus", "build", "--in", str(tmp_path)])
+    assert code == 0, err
+    provenance = json.loads(out)["provenance"]
+    assert (provenance["ingested"], provenance["parse_failed"]) == (4, 1)
 
 
 def test_exit_data_on_malformed_stdin_manifest():

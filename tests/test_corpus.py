@@ -78,9 +78,11 @@ def test_ingest_dir_walks_and_triages(tmp_path):
     (tmp_path / "sub" / "b.mpy").write_text(PLAIN_SRC)
     (tmp_path / "broken.mpy").write_text("def broken(:\n")
     (tmp_path / "notes.txt").write_text("not minipy")
+    # a byte that is not UTF-8 spoils an otherwise valid program
+    (tmp_path / "latin.mpy").write_bytes(PLAIN_SRC.encode("utf-8") + b"z = \xff\n")
     units, prov = ingest_dir(tmp_path)
-    assert prov.ingested == 3
-    assert prov.parse_failed == 1
+    assert prov.ingested == 4
+    assert prov.parse_failed == 2
     assert [u.path for u in units] == ["a.mpy", "sub/b.mpy"]
 
 
@@ -402,6 +404,10 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, float("nan")))
     for split_node in (10**6, -1, True, 1.5):  # not a node id of the sample's graph
         corrupt(lambda d: d["samples"][0].update(split_node=split_node))
+    # the graph document must agree with its sample
+    corrupt(lambda d: d["samples"][0]["graph"].update(label=1 - d["samples"][0]["label"]))
+    positive = next(i for i, s in enumerate(base["samples"]) if s["label"] == 1)
+    corrupt(lambda d: d["samples"][positive]["graph"].update(split_node=0))
 
 
 def test_manifest_rejects_post_metrics_without_split(small_dataset):

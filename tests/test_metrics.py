@@ -26,7 +26,7 @@ from refactorlab.minipy.parser import parse_source
 from refactorlab.rng import Rng
 from refactorlab.synth import generate_units
 
-from conftest import IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC
+from conftest import COUPLED_SRC, IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC
 
 
 def first_fn(src: str):
@@ -118,6 +118,9 @@ def test_cfg_oracle_agrees_on_random_functions():
 def test_coupling_counts_used_imports_only():
     src = "import used\nimport unused\n\ndef f(x):\n    return used.pull(x)\n"
     assert coupling(parse_source(src)) == 1
+    # plain calls, local or not, reach no imported module
+    src = "def local(x):\n    return x\n\ny = local(1)\nz = faraway(2)\n"
+    assert coupling(parse_source(src)) == 0
 
 
 def test_coupling_distinct_modules_not_calls():
@@ -125,12 +128,15 @@ def test_coupling_distinct_modules_not_calls():
     assert coupling(parse_source(src)) == 1
 
 
-def test_coupling_with_project_index():
-    src = "def local(x):\n    return x\n\ny = local(1)\nz = faraway(2)\n"
-    index = {"faraway": "other.mpy", "local": "this.mpy"}
-    # local functions stay local even if the index lists them
-    assert coupling(parse_source(src), index) == 1
-    assert coupling(parse_source(src)) == 0
+def test_coupling_over_a_subtree():
+    tree = parse_source(COUPLED_SRC)
+    relay, mix = tree.functions()
+    # an import anywhere in the tree counts for every subtree that calls into it
+    assert coupling(tree) == coupling(tree, 0) == 6
+    assert coupling(tree, relay.id) == 5  # alpha, zeta, and mix's beta, gamma, delta
+    assert coupling(tree, mix.id) == 3
+    statement = tree.root.children[-2]  # y = epsilon.push(x)
+    assert coupling(tree, statement.id) == 1
 
 
 def test_coupling_six_imports():

@@ -9,9 +9,11 @@ from refactorlab.minipy.astdoc import emit_ast_doc, ingest_ast_doc
 from refactorlab.minipy.nodes import count_decisions, structural_equal
 from refactorlab.minipy.parser import MAX_NESTING, parse_source
 from refactorlab.minipy.printer import pretty_print
+from refactorlab.minipy.split import extract_split, split_points
 from refactorlab.minipy.tokens import tokenize
+from refactorlab.synth import generate_units
 
-from conftest import IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC
+from conftest import COUPLED_SRC, IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC
 
 ALL_SOURCES = [PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, IMPORT_HEAVY_SRC]
 
@@ -193,6 +195,64 @@ def test_spans_nest_and_validate():
     for src in ALL_SOURCES:
         tree = parse_source(src)
         tree.validate()  # raises on id or span violations
+
+
+# --- per-node records --------------------------------------------------------
+
+
+def _walked_records(tree):
+    """(depth, enclosing function, scope depth) of every node, each found by
+    climbing the parent chain."""
+    out = []
+    for node in tree.nodes:
+        depth, fn, scope = 0, 0, 0
+        p = tree.parent[node.id]
+        while p is not None:
+            depth += 1
+            if tree.nodes[p].kind == "FunctionDef":
+                scope += 1
+                fn = fn or p
+            p = tree.parent[p]
+        out.append((depth, fn, scope))
+    return out
+
+
+def _walked_distance(tree, a, b):
+    """Edges between two nodes, through the longest common root path."""
+    pa, pb = tree.ancestors(a), tree.ancestors(b)
+    common = sum(1 for x, y in zip(pa, pb) if x == y)
+    return len(pa) + len(pb) - 2 * common
+
+
+def _check_records(tree):
+    recorded = [
+        (tree.depths[i], tree.enclosing_function(i), tree.scope_depths[i])
+        for i in range(len(tree))
+    ]
+    assert recorded == _walked_records(tree)
+    n = len(tree)
+    for a in range(n):
+        b = (7 * a + 3) % n
+        assert tree.tree_distance(a, b) == tree.tree_distance(b, a) == _walked_distance(tree, a, b)
+
+
+def test_records_of_a_nested_function():
+    tree = parse_source(COUPLED_SRC)
+    relay, mix = tree.functions()
+    assert max(tree.scope_depths) == 2
+    assert tree.scope_depths[mix.id] == 1 and tree.enclosing_function(mix.id) == relay.id
+    assert {tree.enclosing_function(n.id) for n in mix.walk() if n is not mix} == {mix.id}
+    _check_records(tree)
+    _check_records(ingest_ast_doc(emit_ast_doc(tree)))
+
+
+def test_records_match_parent_chain_walks_on_a_corpus():
+    for unit in generate_units(300, 11):
+        tree = parse_source(unit.body)
+        _check_records(tree)
+        points = split_points(tree)
+        if points:
+            _check_records(extract_split(tree, points[0]))
 
 
 # --- printer ----------------------------------------------------------------

@@ -48,12 +48,17 @@ def render(src: str) -> str:
     return to_dot(build_graph(tree), metrics=function_render_metrics(tree))
 
 
+def page(src: str) -> str:
+    tree = parse_source(src)
+    return to_html(build_graph(tree), function_render_metrics(tree))
+
+
 # --- DOT output -----------------------------------------------------------------
 
 
 def test_dot_is_a_digraph_with_every_node_and_edge():
     graph = build_graph(parse_source(PLAIN_SRC))
-    dot = to_dot(graph)
+    dot = render(PLAIN_SRC)
     assert dot.startswith("digraph code {")
     assert dot.endswith("}\n")
     for node in graph.nodes:
@@ -104,7 +109,7 @@ def test_non_function_nodes_are_never_red():
 
 def test_edge_colors_split_control_from_data():
     graph = build_graph(parse_source(SPLITTABLE_SRC))
-    dot = to_dot(graph)
+    dot = render(SPLITTABLE_SRC)
     kinds = {e.kind for e in graph.edges}
     assert {"Parent", "DataFlow"} <= kinds
     assert "color=blue" in dot
@@ -113,45 +118,41 @@ def test_edge_colors_split_control_from_data():
 
 def test_every_edge_has_a_unit_stroke():
     graph = build_graph(parse_source(SPLITTABLE_SRC))
-    assert to_dot(graph).count("penwidth=1") == len(graph.edges)
-    assert to_html(graph).count('stroke-width="1"') == len(graph.edges)
-
-
-def test_dot_without_metrics_uses_subtree_feature():
-    graph = build_graph(parse_source(HOT_SRC))
-    assert "fillcolor=red" in to_dot(graph)
+    assert render(SPLITTABLE_SRC).count("penwidth=1") == len(graph.edges)
+    assert page(SPLITTABLE_SRC).count('stroke-width="1"') == len(graph.edges)
 
 
 # --- HTML output -----------------------------------------------------------------
 
 
 def test_html_is_byte_deterministic():
-    graph = build_graph(parse_source(SPLITTABLE_SRC))
-    a = to_html(graph)
-    b = to_html(build_graph(parse_source(SPLITTABLE_SRC)))
-    assert a == b
+    assert page(SPLITTABLE_SRC) == page(SPLITTABLE_SRC)
 
 
 def test_html_is_self_contained():
-    page = to_html(build_graph(parse_source(SPLITTABLE_SRC)))
-    assert page.startswith("<!DOCTYPE html>")
-    assert "<script" not in page
-    assert "http://" not in page.replace("http://www.w3.org/2000/svg", "")
-    assert "https://" not in page
-    assert page.count("<svg") == 1
+    html = page(SPLITTABLE_SRC)
+    assert html.startswith("<!DOCTYPE html>")
+    assert "<script" not in html
+    assert "http://" not in html.replace("http://www.w3.org/2000/svg", "")
+    assert "https://" not in html
+    assert html.count("<svg") == 1
+
+
+def test_html_caption_without_functions():
+    assert "<p>no functions</p>" in page("x = 1\ny = x + 2\n")
 
 
 def test_html_before_after_panels_and_caption():
     tree = parse_source(SPLITTABLE_SRC)
     after = extract_split(tree, tree.functions()[0].children[2].id)
-    page = to_html(
+    html = to_html(
         build_graph(tree),
         after=build_graph(after),
         before_metrics=function_render_metrics(tree),
         after_metrics=function_render_metrics(after),
     )
-    assert page.count("<svg") == 2
-    assert "<figcaption>before</figcaption>" in page
-    assert "<figcaption>after</figcaption>" in page
-    assert "→" in page
-    assert re.search(r"CC \d+.*→.*CC \d+", page)
+    assert html.count("<svg") == 2
+    assert "<figcaption>before</figcaption>" in html
+    assert "<figcaption>after</figcaption>" in html
+    assert "→" in html
+    assert re.search(r"CC \d+.*→.*CC \d+", html)
