@@ -64,7 +64,6 @@ from .gcn import (
     gcn_from_doc,
     gcn_to_doc,
     init_model,
-    predict_graphs,
     suggest_split,
     train,
 )
@@ -411,7 +410,7 @@ def _cmd_suggest(args: argparse.Namespace) -> int:
     tree = _parse_file(args.file)
     graph = build_graph(tree)
     suggestion = suggest_split(model, graph, split_points(tree))
-    prob = float(predict_graphs(model, [graph])[0])
+    prob = suggestion.graph_prob
     if args.format == "json":
         doc = {
             "seed": args.seed,

@@ -15,10 +15,9 @@ actual experiment.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -35,9 +34,10 @@ from .errors import (
     TooSmallError,
 )
 from .graph import (
-    NODE_FEATURE_DIM,
     NODE_TYPE_INDEX,
     CodeGraph,
+    EdgeRecord,
+    NodeRecord,
     build_graph,
     check_numbers,
     emit_graph_doc,
@@ -283,17 +283,21 @@ def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
     """Copy of ``graph`` with continuous node features scaled by (1 + s*u).
 
     Structure, edges, and the discrete type_index column are untouched,
-    so the copy stays a valid attributed graph for the same shape.
+    so the copy stays a valid attributed graph for the same shape.  Every
+    record and feature list is new, so the copy shares no mutable state
+    with ``graph``.
     """
-    out = copy.deepcopy(graph)
     factor = 1.0 + JITTER_SCALE * u
-    for node in out.nodes:
-        feats = list(node.features)
-        for col in range(NODE_FEATURE_DIM):
-            if col != NODE_TYPE_INDEX:
-                feats[col] = feats[col] * factor
-        node.features = feats
-    return out
+    nodes = []
+    for node in graph.nodes:
+        feats = [f * factor for f in node.features]
+        feats[NODE_TYPE_INDEX] = node.features[NODE_TYPE_INDEX]
+        nodes.append(NodeRecord(id=node.id, kind=node.kind, features=feats))
+    edges = [
+        EdgeRecord(src=e.src, dst=e.dst, kind=e.kind, features=list(e.features))
+        for e in graph.edges
+    ]
+    return replace(graph, nodes=nodes, edges=edges)
 
 
 def oversample(

@@ -28,7 +28,9 @@ nothing reads the gradient of the input features.  Graph pooling keeps
 differently (see ``_forward_full``).
 
 Everything is float64 numpy with a fixed reduction order, so a fixed seed
-reproduces training bit for bit.
+reproduces training bit for bit for a fixed BLAS thread count: the number
+of BLAS threads changes how matrix products round, and with it the
+trained weights.
 """
 
 from __future__ import annotations
@@ -130,6 +132,7 @@ class SplitSuggestion:
     node_id: int | None
     score: float
     eligible: bool
+    graph_prob: float  # refactor probability, from the same forward pass
 
 
 # --- initialization -----------------------------------------------------------
@@ -598,16 +601,22 @@ def suggest_split(
     """Highest-scoring node among ``candidates``; ties go to the earliest.
 
     The caller passes the legal split points of the graph's source tree
-    (``minipy.split.split_points``), in ascending id order.
+    (``minipy.split.split_points``), in ascending id order.  One forward
+    pass gives both the node scores and the graph's refactor probability.
     """
+    result = forward(model, graph)
     if not candidates:
-        return SplitSuggestion(node_id=None, score=0.0, eligible=False)
-    scores = forward(model, graph).node_scores
+        return SplitSuggestion(
+            node_id=None, score=0.0, eligible=False, graph_prob=result.graph_prob
+        )
+    scores = result.node_scores
     best = candidates[0]
     for c in candidates[1:]:
         if scores[c] > scores[best]:
             best = c
-    return SplitSuggestion(node_id=best, score=float(scores[best]), eligible=True)
+    return SplitSuggestion(
+        node_id=best, score=float(scores[best]), eligible=True, graph_prob=result.graph_prob
+    )
 
 
 # --- checkpoints ------------------------------------------------------------------------

@@ -6,8 +6,9 @@ A code graph keeps every AST node and adds five edge kinds:
 * NextSibling: consecutive children of one parent, left -> right.
 * Calls: Call node -> FunctionDef it names, when defined in the same tree.
 * ControlFlow: loop back edge, last body statement -> loop header.
-* DataFlow: Assign -> later node in the same function scope that reads
-  the assigned name (one edge per assign/reader pair).
+* DataFlow: Assign -> every later node in the same function scope that
+  reads the assigned name (one edge per assign/reader pair).  This is not
+  last-write: an assign links to readers past a later reassignment too.
 
 Nodes carry 12 features, edges carry 6; both are documented next to
 their layout constants below.  Graphs serialize to a versioned JSON
@@ -16,6 +17,7 @@ document that round-trips losslessly.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from typing import Any
@@ -26,7 +28,6 @@ from .minipy.nodes import (
     AstTree,
     KIND_INDEX,
     NODE_KINDS,
-    count_decisions,
     expr_reads,
 )
 
@@ -139,18 +140,20 @@ def _structural_edges(tree: AstTree) -> list[tuple[int, int, str]]:
             body = node.body()
             if body:
                 edges.append((body[-1].id, node.id, "ControlFlow"))
-    flow: set[tuple[int, int]] = set()
-    for assign in tree.nodes:
-        if assign.kind != "Assign" or assign.name is None:
-            continue
-        scope = tree.enclosing[assign.id]
-        for reader in tree.nodes[assign.id + 1:]:
-            if tree.enclosing[reader.id] != scope:
-                continue
-            if assign.name in _node_reads(reader):
-                flow.add((assign.id, reader.id))
-    for src, dst in sorted(flow):
-        edges.append((src, dst, "DataFlow"))
+    # DataFlow: index each scope's readers of each name once, in ascending
+    # id order; an Assign links to the readers after it
+    readers: dict[tuple[int, str], list[int]] = {}
+    assigns: list[AstNode] = []
+    for node in tree.nodes:
+        scope = tree.enclosing[node.id]
+        for name in dict.fromkeys(_node_reads(node)):
+            readers.setdefault((scope, name), []).append(node.id)
+        if node.kind == "Assign" and node.name is not None:
+            assigns.append(node)
+    for assign in assigns:
+        ids = readers.get((tree.enclosing[assign.id], assign.name), [])
+        for dst in ids[bisect.bisect_right(ids, assign.id):]:
+            edges.append((assign.id, dst, "DataFlow"))
     return edges
 
 
@@ -166,32 +169,56 @@ def _node_feature_table(
     for src, dst, _ in edges:
         out_deg[src] += 1
         in_deg[dst] += 1
-    table: list[list[float]] = []
-    for node in tree.nodes:
-        variables = {
-            d.name
-            for d in node.walk()
-            if d.kind in ("Assign", "For") and d.name is not None
-        }
-        loops = sum(1 for d in node.walk() if d.kind in ("For", "While"))
-        imports = sum(1 for d in node.walk() if d.kind == "Import")
-        subtree_nodes = sum(1 for _ in node.walk())
+    # one bottom-up pass: preorder puts every child after its parent, so in
+    # reverse order each node's children are complete when it is reached
+    size = [1] * n
+    loops = [0] * n
+    imports = [0] * n
+    decisions = [0] * n
+    names: list[set[str] | None] = [None] * n
+    table: list[list[float]] = []  # filled in reverse id order
+    for node in reversed(tree.nodes):
+        i = node.id
+        own: set[str] = set()
+        for child in node.children:
+            c = child.id
+            size[i] += size[c]
+            loops[i] += loops[c]
+            imports[i] += imports[c]
+            if child.kind != "FunctionDef":  # nested functions are opaque
+                decisions[i] += decisions[c]
+            # merge the smaller set into the larger, then free the child's
+            merged = names[c]
+            if len(merged) > len(own):
+                own, merged = merged, own
+            own |= merged
+            names[c] = None
+        if node.kind in ("Assign", "For") and node.name is not None:
+            own.add(node.name)
+        if node.kind in ("For", "While"):
+            loops[i] += 1
+        if node.kind in ("If", "For", "While"):
+            decisions[i] += 1
+        if node.kind == "Import":
+            imports[i] += 1
+        names[i] = own
         table.append(
             [
                 float(node.span[1] - node.span[0] + 1),
-                float(tree.depths[node.id]),
+                float(tree.depths[i]),
                 KIND_INDEX[node.kind] / 10.0,
-                float(tree.scope_depths[node.id]),
-                float(len(variables)),
-                float(in_deg[node.id]),
-                float(out_deg[node.id]),
-                float(loops),
-                float(imports),
-                float(1 + count_decisions(node)),
+                float(tree.scope_depths[i]),
+                float(len(own)),
+                float(in_deg[i]),
+                float(out_deg[i]),
+                float(loops[i]),
+                float(imports[i]),
+                float(1 + decisions[i]),
                 float(len(node.children)),
-                float(subtree_nodes),
+                float(size[i]),
             ]
         )
+    table.reverse()
     return table
 
 

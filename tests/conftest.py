@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import re
 import sys
 
 import pytest
@@ -115,6 +116,26 @@ x = alpha.pull(1)
 y = epsilon.push(x)
 print(relay(y))
 """
+
+
+def grown_source(nodes: int, seed: int = 11) -> str:
+    """Synthetic programs joined into one file of at least ``nodes`` AST nodes.
+
+    Each program's functions get a suffix of their own, so no two functions
+    of the file share a name.  The same arguments give the same file.
+    """
+    parts: list[str] = []
+    count = 1  # the shared Module root
+    for i, unit in enumerate(generate_units(nodes // 5, seed)):
+        if count >= nodes:
+            break
+        body = unit.body
+        for name in re.findall(r"^\s*def (\w+)\(", body, flags=re.M):
+            body = re.sub(rf"\b{name}\b", f"{name}_u{i}", body)
+        count += len(parse_source(body).nodes) - 1
+        parts.append(body)
+    return "\n".join(parts)
+
 
 @pytest.fixture
 def splittable_tree():

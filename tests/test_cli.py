@@ -19,7 +19,14 @@ from refactorlab.minipy.printer import pretty_print
 from refactorlab.minipy.split import extract_split
 from refactorlab.viz import function_render_metrics, to_html
 
-from conftest import COUPLED_SRC, PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, run_cli
+from conftest import (
+    COUPLED_SRC,
+    PLAIN_SRC,
+    SPLITTABLE_SRC,
+    UNSPLITTABLE_SRC,
+    grown_source,
+    run_cli,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -105,7 +112,9 @@ def test_seed_is_echoed(plain_file):
 # edge-weight scan and the render-style options were deleted; the relay.mpy
 # cases (imports reached from module level, from a function and from a
 # nested function, scope depth 2) before depth and scope were recorded once
-# per tree and coupling was defined once.  Each refactor kept every byte.
+# per tree and coupling was defined once; grown.mpy (synthetic programs
+# joined into 2,038 nodes) before DataFlow and the node features were built
+# in one pass each.  Each refactor kept every byte.
 PINNED_OUTPUTS = {
     "graph": "6b1b3a5140d7e19a25a3d69486d45b5824ea726aa0d75022c14820a59423dabb",
     "viz": "d24bb2d54c8ca5f0a6b92eb08ae5c09eaabad680e12c976c866a941582a20349",
@@ -115,6 +124,7 @@ PINNED_OUTPUTS = {
     "relay_metrics": "94397bd83ed7286a2b960fffabf0ffbd516a358482f50c7f2271c2fb5d8c14ae",
     "relay_rules": "56c36c2f0696c4b1b5a9a4efd21027933ce13803652cb1bfe575cbd27bc4ea80",
     "relay_viz": "8821420d980041adfa87d028ce6aa617ea622ee8c15c390e89b4c2599b8baec2",
+    "grown_graph": "7026b5e44c6f8bb86abf2a8f2e4da26d13f1c88843831322ae68aec1518bf8e8",
 }
 
 
@@ -123,6 +133,8 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
     monkeypatch.chdir(tmp_path)  # the graph document echoes the path it was given
     (tmp_path / "tally.mpy").write_text(SPLITTABLE_SRC)
     (tmp_path / "relay.mpy").write_text(COUPLED_SRC)
+    if name == "grown_graph":  # 2,038 nodes: every edge kind and feature at scale
+        (tmp_path / "grown.mpy").write_text(grown_source(2000))
     split_id = parse_source(SPLITTABLE_SRC).functions()[0].children[2].id
     argv = {
         "graph": ["graph", "tally.mpy", "--format", "json"],
@@ -133,6 +145,7 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
         "relay_metrics": ["metrics", "relay.mpy", "--format", "json"],
         "relay_rules": ["rules", "relay.mpy", "--format", "json"],
         "relay_viz": ["viz", "relay.mpy", "--out", "-"],
+        "grown_graph": ["graph", "grown.mpy", "--format", "json"],
     }[name]
     code, out, err = run_cli(argv)
     assert code == 0, err
@@ -418,6 +431,22 @@ def test_suggest_json(splittable_file, gnn_checkpoint):
     assert 0.0 <= doc["refactor_probability"] <= 1.0
     assert doc["eligible"] is True
     assert isinstance(doc["node_id"], int)
+
+
+def test_suggest_runs_one_forward_pass(monkeypatch, splittable_file, gnn_checkpoint):
+    import refactorlab.gcn as gcn
+
+    passes = []
+    real = gcn._forward_full
+
+    def counting(*args, **kwargs):
+        passes.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(gcn, "_forward_full", counting)
+    argv = ["suggest", splittable_file, "--model", gnn_checkpoint, "--format", "json"]
+    assert run_cli(argv)[0] == 0
+    assert len(passes) == 1
 
 
 def test_suggest_text_names_the_function(splittable_file, gnn_checkpoint):

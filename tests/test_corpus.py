@@ -8,7 +8,9 @@ import json
 import pytest
 
 from refactorlab.corpus import (
+    JITTER_SCALE,
     Provenance,
+    _jitter_graph,
     _smote_target,
     build_dataset,
     dataset_from_doc,
@@ -32,7 +34,7 @@ from refactorlab.errors import (
     TooSmallError,
 )
 from refactorlab.corpus import LabeledSample
-from refactorlab.graph import build_graph
+from refactorlab.graph import NODE_TYPE_INDEX, build_graph, emit_graph_doc
 from refactorlab.metrics import FLAT_DIM, FlatFeatures, cyclomatic
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.source import SourceUnit
@@ -234,6 +236,28 @@ def test_oversample_jitter_preserves_type_column():
         assert len(synth.graph.edges) == len(base.edges)
         for got, src in zip(synth.graph.nodes, base.nodes):
             assert got.features[2] == src.features[2]  # type index untouched
+
+
+def test_jitter_copy_is_independent_and_matches_a_deep_copy():
+    source = build_graph(parse_source(SPLITTABLE_SRC), label=1, split_node=9)
+    before = emit_graph_doc(source)
+    u = 0.37
+    # the reference: a deep copy with every column but the type index scaled
+    expected = copy.deepcopy(source)
+    for node in expected.nodes:
+        node.features = [
+            f if col == NODE_TYPE_INDEX else f * (1.0 + JITTER_SCALE * u)
+            for col, f in enumerate(node.features)
+        ]
+    jittered = _jitter_graph(source, u)
+    assert emit_graph_doc(jittered) == emit_graph_doc(expected)
+    for node in jittered.nodes:
+        node.features[0] = -1.0
+    for edge in jittered.edges:
+        edge.features[0] = -1.0
+    jittered.nodes[0].kind = "Import"
+    jittered.edges.pop()
+    assert emit_graph_doc(source) == before
 
 
 def test_oversample_is_deterministic():

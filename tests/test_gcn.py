@@ -289,6 +289,15 @@ def test_suggest_split_handles_no_candidates():
     assert not suggestion.eligible
 
 
+def test_suggest_split_carries_the_graph_probability():
+    model = init_model(11, SMALL_CFG)
+    for src in (SPLITTABLE_SRC, "x = 1\n"):
+        tree = parse_source(src)
+        graph = build_graph(tree)
+        suggestion = suggest_split(model, graph, split_points(tree))
+        assert suggestion.graph_prob == predict_graphs(model, [graph])[0]
+
+
 # --- training ---------------------------------------------------------------------------
 
 

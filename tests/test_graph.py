@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from refactorlab import graph as graph_module
 from refactorlab.errors import SchemaError
 from refactorlab.graph import (
     EDGE_FEATURE_DIM,
@@ -11,11 +12,14 @@ from refactorlab.graph import (
     EDGE_KINDS,
     NODE_FEATURE_DIM,
     NODE_FEATURE_NAMES,
+    _node_reads,
     build_graph,
     emit_graph_doc,
     ingest_graph_doc,
 )
+from refactorlab.minipy.nodes import KIND_INDEX, AstNode, count_decisions
 from refactorlab.minipy.parser import parse_source
+from refactorlab.synth import generate_units
 
 from conftest import IMPORT_HEAVY_SRC, SPLITTABLE_SRC
 
@@ -234,3 +238,163 @@ def test_graph_doc_parent_edges_must_form_tree():
             e["src"] = 1
     with pytest.raises(SchemaError):
         ingest_graph_doc(doc)
+
+
+# --- one-pass builds against the quadratic reference ---------------------------------
+
+
+def reference_dataflow(tree) -> list[tuple[int, int]]:
+    """Every Assign against every later node: the scan the index replaced."""
+    flow = set()
+    for assign in tree.nodes:
+        if assign.kind != "Assign" or assign.name is None:
+            continue
+        scope = tree.enclosing[assign.id]
+        for reader in tree.nodes[assign.id + 1:]:
+            if tree.enclosing[reader.id] != scope:
+                continue
+            if assign.name in _node_reads(reader):
+                flow.add((assign.id, reader.id))
+    return sorted(flow)
+
+
+def reference_node_features(tree, graph) -> list[list[float]]:
+    """Four subtree walks per node: the table the bottom-up pass replaced."""
+    in_deg = [0] * len(tree)
+    out_deg = [0] * len(tree)
+    for e in graph.edges:
+        out_deg[e.src] += 1
+        in_deg[e.dst] += 1
+    table = []
+    for node in tree.nodes:
+        variables = {
+            d.name
+            for d in node.walk()
+            if d.kind in ("Assign", "For") and d.name is not None
+        }
+        table.append(
+            [
+                float(node.span[1] - node.span[0] + 1),
+                float(tree.depths[node.id]),
+                KIND_INDEX[node.kind] / 10.0,
+                float(tree.scope_depths[node.id]),
+                float(len(variables)),
+                float(in_deg[node.id]),
+                float(out_deg[node.id]),
+                float(sum(1 for d in node.walk() if d.kind in ("For", "While"))),
+                float(sum(1 for d in node.walk() if d.kind == "Import")),
+                float(1 + count_decisions(node)),
+                float(len(node.children)),
+                float(sum(1 for _ in node.walk())),
+            ]
+        )
+    return table
+
+
+def assert_matches_reference(src: str):
+    tree = parse_source(src)
+    graph = build_graph(tree)
+    flows = [(e.src, e.dst) for e in graph.edges if e.kind == "DataFlow"]
+    assert flows == reference_dataflow(tree)
+    assert [n.features for n in graph.nodes] == reference_node_features(tree, graph)
+    return tree, flows
+
+
+SHADOWED_SRC = """\
+def outer(a):
+    x = a
+    def inner(b):
+        x = b
+        return x
+    return x + inner(x)
+"""
+
+
+def test_dataflow_of_a_name_shadowed_in_a_nested_function():
+    # 2: outer's x, 4: inner's x, 5: inner's return, 6: outer's return,
+    # 7: the call inner(x) inside it
+    _, flows = assert_matches_reference(SHADOWED_SRC)
+    assert flows == [(2, 6), (2, 7), (4, 5)]
+
+
+def test_no_dataflow_from_module_level_into_a_function():
+    _, flows = assert_matches_reference("y = 1\ndef f(a):\n    return y + a\n")
+    assert flows == []
+
+
+def test_dataflow_skips_an_assign_reading_its_own_name():
+    # a = a + 1 reads the parameter, not itself; both assigns feed the return
+    _, flows = assert_matches_reference("def f(a):\n    a = a + 1\n    a = a * 2\n    return a\n")
+    assert flows == [(2, 3), (2, 4), (3, 4)]
+
+
+def test_a_reader_naming_a_variable_twice_gets_one_edge():
+    _, flows = assert_matches_reference("x = 2\ny = x * x + x\n")
+    assert flows == [(1, 2)]
+
+
+def test_dataflow_into_for_iterables_call_args_and_both_compare_sides():
+    src = (
+        "def f(n):\n"
+        "    k = n\n"
+        "    for i in k:\n"
+        "        print(k, i)\n"
+        "    while 0 < k:\n"
+        "        k = k - 1\n"
+        "    if k > 0:\n"
+        "        k = 1\n"
+        "    return k\n"
+    )
+    tree, flows = assert_matches_reference(src)
+    k = 2  # the first assign of k
+    readers = {tree.nodes[d].kind for s, d in flows if s == k}
+    assert readers == {"For", "Call", "Compare", "Assign", "Return"}
+    # k is the right operand of the While test and the left one of the If test
+    compares = [n.id for n in tree.nodes if n.kind == "Compare"]
+    assert len(compares) == 2 and all((k, c) in flows for c in compares)
+
+
+def test_decisions_in_a_nested_function_stay_out_of_the_outer_node():
+    src = (
+        "def outer(a):\n"
+        "    if a > 0:\n"
+        "        a = 1\n"
+        "    def inner(b):\n"
+        "        if b > 0:\n"
+        "            b = 2\n"
+        "        for j in range(b):\n"
+        "            b = j\n"
+        "        return b\n"
+        "    return a\n"
+    )
+    tree, _ = assert_matches_reference(src)
+    cc = NODE_FEATURE_NAMES.index("subtree_cyclomatic")
+    loops = NODE_FEATURE_NAMES.index("loop_count_in_subtree")
+    features = build_graph(tree).nodes
+    outer, inner = (f.id for f in tree.functions())
+    assert features[0].features[cc] == 1.0
+    assert features[outer].features[cc] == 2.0
+    assert features[inner].features[cc] == 3.0
+    assert features[outer].features[loops] == 1.0  # loops count through nested defs
+
+
+def test_one_pass_build_matches_reference_on_a_corpus():
+    for unit in generate_units(300, 11):
+        assert_matches_reference(unit.body)
+
+
+def test_build_reads_each_node_once_and_walks_no_subtree(monkeypatch):
+    tree = parse_source(SHADOWED_SRC + SPLITTABLE_SRC)
+    calls = []
+
+    def counting_reads(node):
+        calls.append(node.id)
+        return _node_reads(node)
+
+    def no_walk(self):
+        raise AssertionError("build_graph walked a subtree")
+
+    monkeypatch.setattr(graph_module, "_node_reads", counting_reads)
+    monkeypatch.setattr(AstNode, "walk", no_walk)
+    build_graph(tree)
+    assert sorted(calls) == list(range(len(tree)))
