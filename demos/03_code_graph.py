@@ -1,10 +1,12 @@
 """Attributed code graphs: the representation the GCN consumes.
 
-Each AST becomes a graph whose nodes carry 12 features (kind one-hot
-index, depth, fan-out, subtree complexity, ...) and whose edges carry 6
-(kind index, direction, weight, ...).  Beyond the tree skeleton
-(Parent/NextSibling) the builder adds ControlFlow, DataFlow, and Calls
-edges, so the model sees how values and control actually move.
+Each AST becomes a graph whose nodes carry 12 features (kind index,
+depth, fan-out, subtree complexity, ...).  An edge is just (src, dst,
+kind); its 6 features (kind index, tree distance, direction, strength,
+...) are derived from the Parent tree by ``edge_features`` when needed.
+Beyond the tree skeleton (Parent/NextSibling) the builder adds
+ControlFlow, DataFlow, and Calls edges, so the model sees how values and
+control actually move.
 """
 
 from collections import Counter
@@ -12,7 +14,7 @@ from collections import Counter
 import numpy as np
 
 from refactorlab.gcn import aggregation_matrix
-from refactorlab.graph import EDGE_FEATURE_DIM, NODE_FEATURE_DIM, build_graph
+from refactorlab.graph import EDGE_FEATURE_NAMES, NODE_FEATURE_DIM, build_graph, edge_features
 from refactorlab.minipy.parser import parse_source
 
 SOURCE = """\
@@ -33,8 +35,12 @@ graph = build_graph(tree)
 # --- what the graph holds -----------------------------------------------
 
 print(f"{len(graph.nodes)} nodes x {NODE_FEATURE_DIM} features, "
-      f"{len(graph.edges)} edges x {EDGE_FEATURE_DIM} features")
+      f"{len(graph.edges)} (src, dst, kind) edges")
 print("edge kinds:", dict(Counter(e.kind for e in graph.edges)))
+
+flow, row = next((e, r) for e, r in zip(graph.edges, edge_features(graph)) if e.kind == "DataFlow")
+print(f"\nderived features of DataFlow {flow.src} -> {flow.dst}:")
+print(" ", dict(zip(EDGE_FEATURE_NAMES, [round(v, 3) for v in row])))
 
 fn = next(n for n in graph.nodes if n.kind == "FunctionDef")
 print(f"\nFunctionDef #{fn.id} feature vector:")

@@ -67,7 +67,7 @@ from .gcn import (
     suggest_split,
     train,
 )
-from .graph import build_graph, emit_graph_doc
+from .graph import build_graph, edge_features, emit_graph_doc
 from .metrics import metrics_report
 from .minipy.astdoc import emit_ast_doc
 from .minipy.parser import parse_source
@@ -120,6 +120,8 @@ def _read_json(path: str | None, kind: str) -> dict:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {kind} document: {exc}") from exc
+    except RecursionError as exc:
+        raise SchemaError(f"{kind} document nests too deeply") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{kind} document must be a JSON object")
     return doc
@@ -252,7 +254,10 @@ def _cmd_graph(args: argparse.Namespace) -> int:
             args.out,
         )
         return EXIT_OK
-    doc = {"seed": args.seed, "path": args.file, "graph": emit_graph_doc(graph)}
+    graph_doc = emit_graph_doc(graph)
+    for edge_doc, row in zip(graph_doc["edges"], edge_features(graph)):
+        edge_doc["features"] = row
+    doc = {"seed": args.seed, "path": args.file, "graph": graph_doc}
     _emit(_dumps(doc), args.out)
     return EXIT_OK
 

@@ -36,7 +36,6 @@ from .errors import (
 from .graph import (
     NODE_TYPE_INDEX,
     CodeGraph,
-    EdgeRecord,
     NodeRecord,
     build_graph,
     check_numbers,
@@ -52,7 +51,7 @@ from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-MANIFEST_VERSION = "3"
+MANIFEST_VERSION = "4"
 BUNDLE_VERSION = "1"
 
 DEFAULT_TEST_FRACTION = 0.20
@@ -252,7 +251,7 @@ def label_unit(unit: SourceUnit) -> LabeledSample:
     """Parse, label, and featurize one unit."""
     tree = parse_source(unit.body)
     label, split_node = structural_label(tree)
-    graph = build_graph(tree, source_digest=unit.digest, label=label, split_node=split_node)
+    graph = build_graph(tree, source_digest=unit.digest)
     flat = flat_features(tree, graph)
     return LabeledSample(
         graph=graph,
@@ -282,10 +281,10 @@ def _smote_target(n_minority: int, n_majority: int, target: float) -> int:
 def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
     """Copy of ``graph`` with continuous node features scaled by (1 + s*u).
 
-    Structure, edges, and the discrete type_index column are untouched,
-    so the copy stays a valid attributed graph for the same shape.  Every
-    record and feature list is new, so the copy shares no mutable state
-    with ``graph``.
+    Structure and the discrete type_index column are untouched, so the
+    copy stays a valid attributed graph for the same shape.  Every node
+    record and feature list is new; the copy shares the edge list, whose
+    records are immutable (src, dst, kind) triples.
     """
     factor = 1.0 + JITTER_SCALE * u
     nodes = []
@@ -293,11 +292,7 @@ def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
         feats = [f * factor for f in node.features]
         feats[NODE_TYPE_INDEX] = node.features[NODE_TYPE_INDEX]
         nodes.append(NodeRecord(id=node.id, kind=node.kind, features=feats))
-    edges = [
-        EdgeRecord(src=e.src, dst=e.dst, kind=e.kind, features=list(e.features))
-        for e in graph.edges
-    ]
-    return replace(graph, nodes=nodes, edges=edges)
+    return replace(graph, nodes=nodes)
 
 
 def oversample(
@@ -534,10 +529,6 @@ def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
         or not 0 <= split_node < len(graph.nodes)
     ):
         raise SchemaError(f"{where}.split_node must be a node id of its graph")
-    if graph.label is not None and graph.label != label:
-        raise SchemaError(f"{where}.graph.label differs from {where}.label")
-    if graph.split_node is not None and graph.split_node != split_node:
-        raise SchemaError(f"{where}.graph.split_node differs from {where}.split_node")
     source = doc.get("source")
     if source is not None and not isinstance(source, str):
         raise SchemaError(f"{where}.source must be a string")

@@ -3,7 +3,7 @@
 Each layer computes h_v = ReLU(W . sum_{u in N(v)} g_vu h_u + b): a gated
 sum over neighbors with no degree normalization.  Neighborhoods are
 undirected and include a self-loop with unit gate; every other gate g_vu
-is the summed strength feature of the edges between u and v.
+is the summed derived strength of the edges between u and v.
 ``aggregation_matrix`` is the one definition of that operator, a sparse
 CSR matrix.  There is one forward and one backward pass, over a batch of
 graphs stacked block-diagonally: training and ``predict_graphs`` batch
@@ -49,7 +49,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyDatasetError,
 )
-from .graph import EDGE_STRENGTH, NODE_FEATURE_DIM, CodeGraph
+from .graph import EDGE_STRENGTH, NODE_FEATURE_DIM, CodeGraph, edge_features
 from .rng import Rng
 
 CHECKPOINT_VERSION = "2"
@@ -173,9 +173,10 @@ def init_model(seed: int, config: GcnConfig | None = None) -> GcnModel:
 
 
 def aggregation_matrix(graph: CodeGraph) -> sparse.csr_matrix:
-    """Sparse gate matrix A: A[v, u] is the summed strength of the edges
-    between u and v, in either orientation, and each diagonal entry adds a
-    unit self-loop.  Every edge enters both orientations, so A is symmetric.
+    """Sparse gate matrix A: A[v, u] is the summed strength (the column of
+    ``edge_features``) of the edges between u and v, in either orientation,
+    and each diagonal entry adds a unit self-loop.  Every edge enters both
+    orientations, so A is symmetric.
 
     Each entry is summed in edge order with the self-loop last, a fixed
     float reduction order that keeps training reproducible bit for bit:
@@ -189,7 +190,7 @@ def aggregation_matrix(graph: CodeGraph) -> sparse.csr_matrix:
         (v for e in graph.edges for v in (e.dst, e.src)), dtype=np.int64, count=2 * m
     ).reshape(m, 2)
     strength = np.fromiter(
-        (e.features[EDGE_STRENGTH] for e in graph.edges), dtype=np.float64, count=m
+        (row[EDGE_STRENGTH] for row in edge_features(graph)), dtype=np.float64, count=m
     )
     diag = np.arange(n, dtype=np.int64)
     # per edge the (dst, src) entry, then the (src, dst) one; self-loops last
@@ -648,6 +649,9 @@ def gcn_from_doc(doc: dict) -> GcnModel:
         sigma = np.array(doc.get("feature_sigma", np.ones(config.input_dim)), dtype=np.float64)
     except (TypeError, ValueError, DataError) as exc:
         raise CheckpointError(f"malformed GCN checkpoint: {exc}") from exc
+    # counted before any per-layer work, which a huge layer count would make huge
+    if len(weights) != 2 * config.layers + 4:
+        raise CheckpointError(f"checkpoint needs {2 * config.layers + 4} weight arrays")
     if mu.shape != (config.input_dim,) or sigma.shape != (config.input_dim,):
         raise CheckpointError("feature standardization has wrong shape")
     if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):

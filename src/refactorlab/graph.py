@@ -10,9 +10,12 @@ A code graph keeps every AST node and adds five edge kinds:
   reads the assigned name (one edge per assign/reader pair).  This is not
   last-write: an assign links to readers past a later reassignment too.
 
-Nodes carry 12 features, edges carry 6; both are documented next to
-their layout constants below.  Graphs serialize to a versioned JSON
-document that round-trips losslessly.
+Nodes carry 12 features, documented next to their layout constants
+below.  An edge is only (src, dst, kind): its 6 features are functions of
+those three and the Parent tree, so ``edge_features`` derives them when
+asked and no edge stores them.  Graphs serialize to a versioned JSON
+document that round-trips losslessly; the ``graph`` command's document
+adds each edge's derived features.
 """
 
 from __future__ import annotations
@@ -85,12 +88,11 @@ class NodeRecord:
     features: list[float]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EdgeRecord:
     src: int
     dst: int
     kind: str
-    features: list[float]
 
 
 @dataclass
@@ -98,8 +100,6 @@ class CodeGraph:
     nodes: list[NodeRecord]
     edges: list[EdgeRecord]
     source_digest: str
-    label: int | None = None
-    split_node: int | None = None
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -222,34 +222,10 @@ def _node_feature_table(
     return table
 
 
-# --- edge features -------------------------------------------------------------------
-
-
-def edge_features(tree: AstTree, edge: tuple[int, int, str]) -> list[float]:
-    """6-dim feature vector for one (src, dst, kind) edge."""
-    src, dst, kind = edge
-    if kind not in EDGE_KIND_INDEX:
-        raise SchemaError(f"unknown edge kind {kind!r}")
-    distance = tree.tree_distance(src, dst)
-    return [
-        EDGE_KIND_INDEX[kind] / 5.0,
-        float(distance),
-        1.0,
-        1.0 if kind in _FLOW_KINDS else 0.0,
-        1.0 if src < dst else 0.0,
-        1.0 / (1.0 + distance),
-    ]
-
-
 # --- graph construction -----------------------------------------------------------
 
 
-def build_graph(
-    tree: AstTree,
-    source_digest: str = "0" * 32,
-    label: int | None = None,
-    split_node: int | None = None,
-) -> CodeGraph:
+def build_graph(tree: AstTree, source_digest: str = "0" * 32) -> CodeGraph:
     """Build the attributed graph for a tree.
 
     Node order follows preorder ids; edge order is Parent, NextSibling,
@@ -262,26 +238,88 @@ def build_graph(
         NodeRecord(id=node.id, kind=node.kind, features=features[node.id])
         for node in tree.nodes
     ]
-    edges = [
-        EdgeRecord(src=s, dst=d, kind=k, features=edge_features(tree, (s, d, k)))
-        for s, d, k in triples
-    ]
-    return CodeGraph(
-        nodes=nodes,
-        edges=edges,
-        source_digest=source_digest,
-        label=label,
-        split_node=split_node,
-    )
+    edges = [EdgeRecord(src=s, dst=d, kind=k) for s, d, k in triples]
+    return CodeGraph(nodes=nodes, edges=edges, source_digest=source_digest)
+
+
+# --- the Parent tree and edge features ---------------------------------------------
+
+
+def parent_tree(graph: CodeGraph) -> tuple[list[int | None], list[int]]:
+    """Each node's Parent-edge source (None at the root) and its depth.
+
+    SchemaError unless the Parent edges form one tree over all nodes: no
+    node with two Parent edges, exactly one root, no cycle.
+    """
+    n = len(graph.nodes)
+    parent: list[int | None] = [None] * n
+    for e in graph.edges:
+        if e.kind != "Parent":
+            continue
+        if parent[e.dst] is not None:
+            raise SchemaError(f"node {e.dst} has two Parent edges")
+        parent[e.dst] = e.src
+    roots = parent.count(None)
+    if roots != 1:
+        raise SchemaError(f"Parent edges must leave exactly one root, found {roots}")
+    depth = [-1] * n  # -1 not yet known, -2 on the path being climbed
+    for start in range(n):
+        path = []
+        v = start
+        while v is not None and depth[v] < 0:
+            if depth[v] == -2:
+                raise SchemaError("Parent edges contain a cycle")
+            depth[v] = -2
+            path.append(v)
+            v = parent[v]
+        d = -1 if v is None else depth[v]
+        for u in reversed(path):
+            d += 1
+            depth[u] = d
+    return parent, depth
+
+
+def edge_features(graph: CodeGraph) -> list[list[float]]:
+    """The 6 features of each edge, in edge order (``EDGE_FEATURE_NAMES``).
+
+    The tree distance climbs from both ends to their lowest common
+    ancestor in the graph's Parent tree: the deeper end first, then both
+    ends together until they meet.
+    """
+    parent, depth = parent_tree(graph)
+    rows: list[list[float]] = []
+    for e in graph.edges:
+        a, b = e.src, e.dst
+        distance = 0
+        while depth[a] > depth[b]:
+            a = parent[a]
+            distance += 1
+        while depth[b] > depth[a]:
+            b = parent[b]
+            distance += 1
+        while a != b:
+            a, b = parent[a], parent[b]
+            distance += 2
+        rows.append(
+            [
+                EDGE_KIND_INDEX[e.kind] / 5.0,
+                float(distance),
+                1.0,
+                1.0 if e.kind in _FLOW_KINDS else 0.0,
+                1.0 if e.src < e.dst else 0.0,
+                1.0 / (1.0 + distance),
+            ]
+        )
+    return rows
 
 
 # --- interchange documents ------------------------------------------------------------
 
 GRAPH_DOC_VERSION = "1"
 
-_GRAPH_KEYS = {"version", "source_digest", "label", "split_node", "nodes", "edges"}
+_GRAPH_KEYS = {"version", "source_digest", "nodes", "edges"}
 _NODE_KEYS = {"id", "kind", "features"}
-_EDGE_KEYS = {"src", "dst", "kind", "features"}
+_EDGE_KEYS = {"src", "dst", "kind"}
 
 
 def check_numbers(value: Any, dim: int, path: str) -> list[float]:
@@ -297,35 +335,6 @@ def check_numbers(value: Any, dim: int, path: str) -> list[float]:
             raise SchemaError(f"{path}[{i}] is not finite")
         out.append(f)
     return out
-
-
-def _check_parent_tree(graph: CodeGraph) -> None:
-    """Parent edges must form a tree over all nodes (single root, no cycles)."""
-    n = len(graph.nodes)
-    parent: dict[int, int] = {}
-    for e in graph.edges:
-        if e.kind != "Parent":
-            continue
-        if e.dst in parent:
-            raise SchemaError(f"node {e.dst} has two Parent edges")
-        parent[e.dst] = e.src
-    roots = [i for i in range(n) if i not in parent]
-    if len(roots) != 1:
-        raise SchemaError(f"Parent edges must leave exactly one root, found {len(roots)}")
-    state = [0] * n  # 0 unvisited, 1 in progress, 2 done
-    for start in range(n):
-        path = []
-        cur = start
-        while state[cur] == 0:
-            state[cur] = 1
-            path.append(cur)
-            if cur not in parent:
-                break
-            cur = parent[cur]
-        if state[cur] == 1 and cur in parent:
-            raise SchemaError("Parent edges contain a cycle")
-        for v in path:
-            state[v] = 2
 
 
 def is_int(value: Any) -> bool:
@@ -349,9 +358,6 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
         or any(c not in "0123456789abcdef" for c in digest)
     ):
         raise SchemaError("source_digest must be 32 lowercase hex characters")
-    label = doc.get("label")
-    if label is not None and (not is_int(label) or label not in (0, 1)):
-        raise SchemaError("label must be 0 or 1")
     raw_nodes = doc.get("nodes")
     if not isinstance(raw_nodes, list) or not raw_nodes:
         raise SchemaError("nodes must be a non-empty list")
@@ -370,10 +376,6 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
             raise SchemaError(f"{path}.kind {kind!r} is not a node kind")
         features = check_numbers(rn.get("features"), NODE_FEATURE_DIM, f"{path}.features")
         nodes.append(NodeRecord(id=i, kind=kind, features=features))
-    split_node = doc.get("split_node")
-    if split_node is not None:
-        if not is_int(split_node) or not 0 <= split_node < len(nodes):
-            raise SchemaError("split_node must be a valid node id")
     raw_edges = doc.get("edges")
     if not isinstance(raw_edges, list):
         raise SchemaError("edges must be a list")
@@ -390,37 +392,22 @@ def ingest_graph_doc(doc: dict) -> CodeGraph:
             raise SchemaError(f"{path}.kind {kind!r} is not an edge kind")
         src = re.get("src")
         dst = re.get("dst")
-        for label_, v in (("src", src), ("dst", dst)):
+        for end, v in (("src", src), ("dst", dst)):
             if not is_int(v) or not 0 <= v < len(nodes):
-                raise SchemaError(f"{path}.{label_} does not reference a node")
-        features = check_numbers(re.get("features"), EDGE_FEATURE_DIM, f"{path}.features")
-        edges.append(EdgeRecord(src=src, dst=dst, kind=kind, features=features))
-    graph = CodeGraph(
-        nodes=nodes,
-        edges=edges,
-        source_digest=digest,
-        label=label,
-        split_node=split_node,
-    )
-    _check_parent_tree(graph)
+                raise SchemaError(f"{path}.{end} does not reference a node")
+        edges.append(EdgeRecord(src=src, dst=dst, kind=kind))
+    graph = CodeGraph(nodes=nodes, edges=edges, source_digest=digest)
+    parent_tree(graph)
     return graph
 
 
 def emit_graph_doc(graph: CodeGraph) -> dict:
     """Serialize a graph to its interchange document."""
-    doc: dict[str, Any] = {
+    return {
         "version": GRAPH_DOC_VERSION,
         "source_digest": graph.source_digest,
+        "nodes": [
+            {"id": n.id, "kind": n.kind, "features": list(n.features)} for n in graph.nodes
+        ],
+        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind} for e in graph.edges],
     }
-    if graph.label is not None:
-        doc["label"] = graph.label
-    if graph.split_node is not None:
-        doc["split_node"] = graph.split_node
-    doc["nodes"] = [
-        {"id": n.id, "kind": n.kind, "features": list(n.features)} for n in graph.nodes
-    ]
-    doc["edges"] = [
-        {"src": e.src, "dst": e.dst, "kind": e.kind, "features": list(e.features)}
-        for e in graph.edges
-    ]
-    return doc

@@ -229,25 +229,6 @@ class AstTree:
         path.reverse()
         return path
 
-    def tree_distance(self, a: int, b: int) -> int:
-        """Path length between two nodes in the tree (via lowest common ancestor).
-
-        The deeper node climbs to the other's depth, then both climb until
-        they meet.
-        """
-        parent, depths = self.parent, self.depths
-        distance = 0
-        while depths[a] > depths[b]:
-            a = parent[a]
-            distance += 1
-        while depths[b] > depths[a]:
-            b = parent[b]
-            distance += 1
-        while a != b:
-            a, b = parent[a], parent[b]
-            distance += 2
-        return distance
-
     def enclosing_function(self, node_id: int) -> int:
         """Id of the nearest FunctionDef ancestor, else the Module root (0).
 

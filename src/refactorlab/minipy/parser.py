@@ -38,18 +38,19 @@ MAX_NESTING = 100
 
 class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
-        self.tokens = tokens
+        # one extra Eof, so that peek(1) at the end needs no clamp
+        self.tokens = [*tokens, tokens[-1]]
         self.pos = 0
         self.depth = 0
 
     # -- token plumbing -------------------------------------------------------
 
     def peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+        return self.tokens[self.pos + offset]
 
     def advance(self) -> Token:
         tok = self.tokens[self.pos]
-        if self.pos < len(self.tokens) - 1:
+        if tok.kind != "Eof":
             self.pos += 1
         return tok
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import html
 
-from .graph import CodeGraph, EdgeRecord
+from .graph import CodeGraph, EdgeRecord, parent_tree
 from .metrics import coupling, cyclomatic
 from .minipy.nodes import AstTree
 
@@ -87,15 +87,11 @@ def _layout(graph: CodeGraph) -> dict[int, tuple[float, int]]:
     Leaves take consecutive slots in id order; parents center over their
     children, which keeps the drawing deterministic.
     """
-    children: dict[int, list[int]] = {n.id: [] for n in graph.nodes}
-    parent: dict[int, int] = {}
-    for e in graph.edges:
-        if e.kind == "Parent":
-            children[e.src].append(e.dst)
-            parent[e.dst] = e.src
-    for kids in children.values():
-        kids.sort()
-    roots = [n.id for n in graph.nodes if n.id not in parent]
+    parent, _ = parent_tree(graph)
+    children: list[list[int]] = [[] for _ in parent]
+    for node_id, p in enumerate(parent):  # ascending, so each list is sorted
+        if p is not None:
+            children[p].append(node_id)
     pos: dict[int, tuple[float, int]] = {}
     next_slot = 0
 
@@ -111,8 +107,7 @@ def _layout(graph: CodeGraph) -> dict[int, tuple[float, int]]:
         pos[node_id] = (x, depth)
         return x
 
-    for root in sorted(roots):
-        place(root, 0)
+    place(parent.index(None), 0)
     return pos
 
 

@@ -163,10 +163,7 @@ def _permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
         (NodeRecord(id=perm[n.id], kind=n.kind, features=list(n.features)) for n in graph.nodes),
         key=lambda n: n.id,
     )
-    edges = [
-        EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind, features=list(e.features))
-        for e in graph.edges
-    ]
+    edges = [EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind) for e in graph.edges]
     return CodeGraph(nodes=nodes, edges=edges, source_digest=graph.source_digest)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from refactorlab.dtree import dtree_from_doc
-from refactorlab.gcn import gcn_from_doc
+from refactorlab.gcn import GcnConfig, gcn_from_doc, gcn_to_doc, init_model
 from refactorlab.graph import build_graph
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.printer import pretty_print
@@ -155,18 +155,22 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 
 
 # sha256 of a small GCN run's outputs: `train --model gnn` with the default
-# dropout and several Adam steps, and the `eval --format json` that reads
-# its weights.  Recorded before the training step was fused; a leaner step
-# has to keep every weight bit.  The BLAS pool is pinned to one thread,
-# since the thread count changes how matrix products round.
+# dropout and several Adam steps, its `--checkpoint-out` file, and the
+# `eval --format json` that reads its weights.  The report and checkpoint
+# were recorded before the training step was fused and before the manifest
+# stopped storing edge features; each such change has to keep every weight
+# bit.  The workspace embeds the manifest, so it moved with manifest
+# version 4.  The BLAS pool is pinned to one thread, since the thread count
+# changes how matrix products round.
 PINNED_GNN_OUTPUTS = {
-    "workspace": "da033a98a660bffb499f0856e3c85e2b0da7ead7aa95f68321684a06017ef98a",
+    "workspace": "86417e32e343fec68856d10a6ec628a89b09b801e2033dd60b4752adbcebdce1",
+    "checkpoint": "25b1d960f60c0af9b9b4dc25da3c1265aecda4641b00b5dbe325053b3d3f818f",
     "report": "9804c0997378a3f1607a4cefd44339fe1983def4df2202434025d3e4214d2b10",
 }
 ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
 
-def test_gnn_training_matches_pinned_hashes():
+def test_gnn_training_matches_pinned_hashes(tmp_path):
     src = str(ROOT / "src")
     path = os.environ.get("PYTHONPATH")
     env = {
@@ -185,8 +189,10 @@ def test_gnn_training_matches_pinned_hashes():
 
     bundle = cli(["synth", "--n", "40", "--seed", "3"], "")
     manifest = cli(["corpus", "build"], bundle)
+    checkpoint = tmp_path / "gnn.json"
     train = ["train", "--model", "gnn", "--epochs", "3", "--batch-size", "16", "--seed", "3"]
-    outputs = {"workspace": cli(train, manifest)}
+    outputs = {"workspace": cli([*train, "--checkpoint-out", str(checkpoint)], manifest)}
+    outputs["checkpoint"] = checkpoint.read_text(encoding="utf-8")
     outputs["report"] = cli(["eval", "--format", "json", "--seed", "3"], outputs["workspace"])
     digests = {k: hashlib.sha256(v.encode("utf-8")).hexdigest() for k, v in outputs.items()}
     assert digests == PINNED_GNN_OUTPUTS
@@ -288,6 +294,25 @@ def test_exit_data_on_malformed_stdin_manifest():
     code, _, err = run_cli(["train", "--model", "dtree"], stdin_text="{\"bogus\": 1}")
     assert code == 3
     assert "data error" in err
+
+
+@pytest.mark.parametrize("argv", [["train", "--model", "dtree"], ["eval"]])
+def test_exit_data_on_deeply_nested_json(argv):
+    # past the JSON decoder's recursion limit, which once escaped as exit 4
+    code, _, err = run_cli(argv, stdin_text="[" * 100_000 + "]" * 100_000)
+    assert code == 3
+    assert err == "refactorlab: data error: dataset manifest document nests too deeply\n"
+
+
+def test_exit_data_on_a_gnn_checkpoint_with_a_huge_layer_count(tmp_path, splittable_file):
+    # checked against the weight count before any per-layer work
+    doc = gcn_to_doc(init_model(5, GcnConfig(layers=2, units=4)))
+    doc["config"]["layers"] = 10**9
+    checkpoint = tmp_path / "huge.json"
+    checkpoint.write_text(json.dumps(doc))
+    code, _, err = run_cli(["suggest", splittable_file, "--model", str(checkpoint)])
+    assert code == 3
+    assert "weight arrays" in err and err.count("\n") == 1
 
 
 # --- pipeline ----------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import json
 
 import pytest
@@ -34,7 +35,7 @@ from refactorlab.errors import (
     TooSmallError,
 )
 from refactorlab.corpus import LabeledSample
-from refactorlab.graph import NODE_TYPE_INDEX, build_graph, emit_graph_doc
+from refactorlab.graph import NODE_TYPE_INDEX, build_graph, edge_features, emit_graph_doc
 from refactorlab.metrics import FLAT_DIM, FlatFeatures, cyclomatic
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.source import SourceUnit
@@ -239,7 +240,7 @@ def test_oversample_jitter_preserves_type_column():
 
 
 def test_jitter_copy_is_independent_and_matches_a_deep_copy():
-    source = build_graph(parse_source(SPLITTABLE_SRC), label=1, split_node=9)
+    source = build_graph(parse_source(SPLITTABLE_SRC))
     before = emit_graph_doc(source)
     u = 0.37
     # the reference: a deep copy with every column but the type index scaled
@@ -253,11 +254,12 @@ def test_jitter_copy_is_independent_and_matches_a_deep_copy():
     assert emit_graph_doc(jittered) == emit_graph_doc(expected)
     for node in jittered.nodes:
         node.features[0] = -1.0
-    for edge in jittered.edges:
-        edge.features[0] = -1.0
     jittered.nodes[0].kind = "Import"
-    jittered.edges.pop()
     assert emit_graph_doc(source) == before
+    # edges are immutable (src, dst, kind) triples, so the copy shares them
+    assert jittered.edges is source.edges
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        jittered.edges[0].src = 1
 
 
 def test_oversample_is_deterministic():
@@ -396,6 +398,20 @@ def test_manifest_round_trip(small_dataset):
     assert back.provenance.to_doc() == small_dataset.provenance.to_doc()
 
 
+def test_manifest_graphs_round_trip_with_derived_edge_features(small_dataset):
+    doc = dataset_to_doc(small_dataset)
+    assert doc["version"] == "4"
+    for sample in doc["samples"]:
+        assert set(sample["graph"]) == {"version", "source_digest", "nodes", "edges"}
+        assert all("features" not in e for e in sample["graph"]["edges"])
+    back = dataset_from_doc(json.loads(json.dumps(doc)))
+    for was, now in zip(small_dataset.samples, back.samples, strict=True):
+        assert now.graph.nodes == was.graph.nodes
+        assert now.graph.edges == was.graph.edges
+        assert edge_features(now.graph) == edge_features(was.graph)
+        assert (now.label, now.split_node) == (was.label, was.split_node)
+
+
 def test_manifest_rejects_malformed_documents(small_dataset):
     base = dataset_to_doc(small_dataset)
 
@@ -428,10 +444,12 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, float("nan")))
     for split_node in (10**6, -1, True, 1.5):  # not a node id of the sample's graph
         corrupt(lambda d: d["samples"][0].update(split_node=split_node))
-    # the graph document must agree with its sample
-    corrupt(lambda d: d["samples"][0]["graph"].update(label=1 - d["samples"][0]["label"]))
+    # version 4 keeps the label and split node on the sample only, and stores
+    # no edge features: the old copies are unknown fields
+    corrupt(lambda d: d["samples"][0]["graph"].update(label=d["samples"][0]["label"]))
     positive = next(i for i, s in enumerate(base["samples"]) if s["label"] == 1)
-    corrupt(lambda d: d["samples"][positive]["graph"].update(split_node=0))
+    corrupt(lambda d: d["samples"][positive]["graph"].update(split_node=d["samples"][positive]["split_node"]))
+    corrupt(lambda d: d["samples"][0]["graph"]["edges"][0].update(features=[0.0] * 6))
 
 
 def test_manifest_rejects_post_metrics_without_split(small_dataset):

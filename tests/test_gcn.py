@@ -31,7 +31,15 @@ from refactorlab.gcn import (
     suggest_split,
     train,
 )
-from refactorlab.graph import EDGE_STRENGTH, CodeGraph, EdgeRecord, NodeRecord, build_graph
+from refactorlab.graph import (
+    EDGE_KINDS,
+    EDGE_STRENGTH,
+    CodeGraph,
+    EdgeRecord,
+    NodeRecord,
+    build_graph,
+    edge_features,
+)
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.split import split_points
 from refactorlab.rng import Rng
@@ -53,10 +61,7 @@ def permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
         (NodeRecord(id=perm[n.id], kind=n.kind, features=list(n.features)) for n in graph.nodes),
         key=lambda n: n.id,
     )
-    edges = [
-        EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind, features=list(e.features))
-        for e in graph.edges
-    ]
+    edges = [EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind) for e in graph.edges]
     return CodeGraph(nodes=nodes, edges=edges, source_digest=graph.source_digest)
 
 
@@ -82,8 +87,8 @@ def reference_aggregation(graph: CodeGraph) -> sparse.csr_matrix:
     scipy's COO constructor, which sorts the entries into canonical CSR."""
     n = len(graph.nodes)
     gates: dict[tuple[int, int], float] = {}
-    for e in graph.edges:
-        s = e.features[EDGE_STRENGTH]
+    for e, row in zip(graph.edges, edge_features(graph)):
+        s = row[EDGE_STRENGTH]
         gates[e.dst, e.src] = gates.get((e.dst, e.src), 0.0) + s
         gates[e.src, e.dst] = gates.get((e.src, e.dst), 0.0) + s
     for v in range(n):
@@ -94,15 +99,16 @@ def reference_aggregation(graph: CodeGraph) -> sparse.csr_matrix:
 
 
 def random_graph(rng: Rng) -> CodeGraph:
-    """Random ids, strengths and edges: parallel, reversed and self-edges
-    included, so several terms fall on one entry in a scrambled order."""
+    """A random Parent tree plus random edges of the other kinds: parallel,
+    reversed and self-edges included, shuffled in with the tree, so several
+    terms of several strengths fall on one entry in a scrambled order."""
     n = 1 + rng.randrange(40)
     nodes = [NodeRecord(id=i, kind="Name", features=[0.0] * 12) for i in range(n)]
-    edges = []
+    edges = [EdgeRecord(src=rng.randrange(v), dst=v, kind="Parent") for v in range(1, n)]
     for _ in range(rng.randrange(3 * n + 1)):
-        feats = [0.0] * 6
-        feats[EDGE_STRENGTH] = rng.random() * 2.0 - 0.5
-        edges.append(EdgeRecord(src=rng.randrange(n), dst=rng.randrange(n), kind="DataFlow", features=feats))
+        kind = EDGE_KINDS[1 + rng.randrange(len(EDGE_KINDS) - 1)]
+        edges.append(EdgeRecord(src=rng.randrange(n), dst=rng.randrange(n), kind=kind))
+    rng.shuffle(edges)
     return CodeGraph(nodes=nodes, edges=edges, source_digest="")
 
 

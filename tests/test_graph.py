@@ -14,6 +14,7 @@ from refactorlab.graph import (
     NODE_FEATURE_NAMES,
     _node_reads,
     build_graph,
+    edge_features,
     emit_graph_doc,
     ingest_graph_doc,
 )
@@ -168,22 +169,26 @@ def test_degrees_count_all_edge_kinds():
 # --- edge features ---------------------------------------------------------------
 
 
+def features_of(graph, kind: str) -> list[float]:
+    """The derived features of the first edge of one kind."""
+    return next(row for e, row in zip(graph.edges, edge_features(graph)) if e.kind == kind)
+
+
 def test_edge_features_by_hand():
     graph = build_graph(parse_source(TINY_SRC))
-    sib = next(e for e in graph.edges if e.kind == "NextSibling")
     # kind index 1 of 5, two hops through the shared parent, weight one,
     # structural-flow flag on, ascending direction, strength 1/(1+2)
-    assert sib.features == [0.2, 2.0, 1.0, 1.0, 1.0, pytest.approx(1 / 3)]
-    flow = next(e for e in graph.edges if e.kind == "DataFlow")
-    assert flow.features[0] == pytest.approx(4 / 5)
-    assert flow.features[3] == 0.0  # not a structural-flow kind
+    assert features_of(graph, "NextSibling") == [0.2, 2.0, 1.0, 1.0, 1.0, pytest.approx(1 / 3)]
+    flow = features_of(graph, "DataFlow")
+    assert flow[0] == pytest.approx(4 / 5)
+    assert flow[3] == 0.0  # not a structural-flow kind
 
 
 def test_backedge_direction_flag():
     graph = build_graph(parse_source("for i in range(3):\n    x = i\n"))
     back = next(e for e in graph.edges if e.kind == "ControlFlow")
     assert back.src > back.dst
-    assert back.features[4] == 0.0
+    assert features_of(graph, "ControlFlow")[4] == 0.0
 
 
 # --- determinism and documents ------------------------------------------------------
@@ -196,11 +201,12 @@ def test_build_graph_deterministic():
 
 
 def test_graph_doc_round_trip():
-    graph = build_graph(parse_source(SPLITTABLE_SRC), label=1, split_node=9)
+    graph = build_graph(parse_source(SPLITTABLE_SRC))
     doc = emit_graph_doc(graph)
     back = ingest_graph_doc(doc)
     assert emit_graph_doc(back) == doc
-    assert back.label == 1 and back.split_node == 9
+    assert edge_features(back) == edge_features(graph)
+    assert all(set(e) == {"src", "dst", "kind"} for e in doc["edges"])
     assert doc["version"] == "1"
 
 
@@ -223,11 +229,13 @@ def test_graph_doc_rejects_violations():
     corrupt(lambda d: d["edges"][0].update(kind="Teleport"))
     corrupt(lambda d: d["edges"][0].update(dst=99))
     corrupt(lambda d: d["edges"].append(dict(d["edges"][0])))  # duplicate Parent edge
-    corrupt(lambda d: d.update(label=2))
+    # edges store no features, and a sample's label and split node live on the sample
+    corrupt(lambda d: d["edges"][0].update(features=[0.0] * EDGE_FEATURE_DIM))
+    corrupt(lambda d: d.update(label=1))
+    corrupt(lambda d: d.update(split_node=1))
     # bools posing as ints
-    corrupt(lambda d: d.update(split_node=True))
-    corrupt(lambda d: d.update(label=True))
     corrupt(lambda d: d["nodes"][0].update(id=False))
+    corrupt(lambda d: d["edges"][0].update(src=False))
 
 
 def test_graph_doc_parent_edges_must_form_tree():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from refactorlab.errors import LexError, ParseError, SchemaError
+from refactorlab.graph import EDGE_FEATURE_NAMES, EdgeRecord, build_graph, edge_features
 from refactorlab.minipy.astdoc import emit_ast_doc, ingest_ast_doc
 from refactorlab.minipy.nodes import count_decisions, structural_equal
 from refactorlab.minipy.parser import MAX_NESTING, parse_source
@@ -230,10 +231,16 @@ def _check_records(tree):
         for i in range(len(tree))
     ]
     assert recorded == _walked_records(tree)
+    # the distance column of the derived edge features, on the built edges
+    # and on extra edges between scattered pairs, in both orientations
+    graph = build_graph(tree)
     n = len(tree)
     for a in range(n):
         b = (7 * a + 3) % n
-        assert tree.tree_distance(a, b) == tree.tree_distance(b, a) == _walked_distance(tree, a, b)
+        graph.edges += [EdgeRecord(a, b, "DataFlow"), EdgeRecord(b, a, "Calls")]
+    rows = edge_features(graph)
+    for e, row in zip(graph.edges, rows, strict=True):
+        assert row[EDGE_FEATURE_NAMES.index("tree_distance")] == _walked_distance(tree, e.src, e.dst)
 
 
 def test_records_of_a_nested_function():
