@@ -18,25 +18,36 @@ and deviation fitted on the training nodes, frozen into the checkpoint)
 so count-like features (lines, subtree sizes) do not swamp the sum
 aggregation and small-range features stay visible to the optimizer.
 
+A training step runs in float32 and everything else in float64.  Each
+step casts the float64 master weights to a float32 copy, runs forward and
+backward in float32 over float32 aggregation matrices, and casts the
+gradients back up; Adam's moments and the weights it updates stay float64
+(the master-weight scheme of Micikevicius et al., *Mixed Precision
+Training*, ICLR 2018).  Inference (``forward``, ``predict_graphs``,
+``suggest_split``) and the gradient checks (``backward``, ``sample_loss``,
+``gradient_check``) run in float64, so checkpoints and their scores keep
+full precision.  The forward and backward passes take their dtype from
+the aggregation matrix, and every layer, in training and inference and in
+``gcn_layer_forward``, runs the one ``_layer``.
+
 A training step keeps only what its backward pass reads.  Per layer the
 forward cache holds the aggregated input S and the output H after ReLU and
 dropout, written in place, plus the dropout scale: H > 0 is exactly the
 kept-and-active mask, so the pre-activation and a float dropout mask are
 never stored, and the backward pass stops at layer 1's weights, since
-nothing reads the gradient of the input features.  Graph pooling keeps
-``np.add.reduceat`` because a faster pooling matrix product rounds
-differently (see ``_forward_full``).
+nothing reads the gradient of the input features.  Graph pooling is a
+product with a sparse matrix of ones, which sums each graph's rows in the
+same order alone or in any batch.
 
-Everything is float64 numpy with a fixed reduction order, so a fixed seed
-reproduces training bit for bit for a fixed BLAS thread count: the number
-of BLAS threads changes how matrix products round, and with it the
-trained weights.
+Every reduction runs in a fixed order, so a fixed seed reproduces training
+bit for bit for a fixed BLAS thread count: the number of BLAS threads
+changes how matrix products round, and with it the trained weights.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -216,12 +227,23 @@ def _node_matrix(graph: CodeGraph, input_dim: int) -> np.ndarray:
 # --- layer and forward ------------------------------------------------------------
 
 
+def _layer(S: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """ReLU(S @ W + b) for an aggregated input ``S``, in the dtype of its
+    operands: the one layer that training, inference and
+    ``gcn_layer_forward`` run."""
+    H = S @ W
+    H += b
+    np.maximum(H, 0.0, out=H)
+    return H
+
+
 def gcn_layer_forward(
     H: np.ndarray, neighbors: np.ndarray, W: np.ndarray, b: np.ndarray
 ) -> np.ndarray:
     """One layer: row v = ReLU(sum of gated neighbor rows, mapped by W, + b).
 
-    ``neighbors`` is the aggregation matrix (self-loops included).
+    ``neighbors`` is the aggregation matrix (self-loops included), sparse
+    or dense.
     """
     H = np.asarray(H, dtype=np.float64)
     W = np.asarray(W, dtype=np.float64)
@@ -236,7 +258,7 @@ def gcn_layer_forward(
             raise DimensionMismatchError(
                 f"adjacency {neighbors.shape} does not match {H.shape[0]} nodes"
             )
-    return np.maximum(neighbors @ H @ W + b, 0.0)
+    return _layer(neighbors @ H, W, b)
 
 
 def _forward_full(
@@ -250,7 +272,9 @@ def _forward_full(
 
     ``X`` and ``A`` stack the batch's graphs block-diagonally and
     ``counts`` gives each graph's node count.  Dropout is drawn from
-    ``nprng`` when one is given (training) and skipped otherwise.
+    ``nprng`` when one is given (training) and skipped otherwise.  The
+    pass runs in the dtype of ``A``: the input is standardized in float64
+    and then cast to it, and the model's weights are expected in it too.
 
     Per layer the cache holds the aggregated input ``S``, the output ``H``
     after ReLU and dropout, and the dropout scale (None where no dropout
@@ -258,20 +282,19 @@ def _forward_full(
     where a unit was kept and its pre-activation was positive, so neither
     the pre-activation nor a float mask is kept.
 
-    Pooling sums each graph's rows with ``np.add.reduceat``.  Its
-    summation order is numpy's own (not a plain left-to-right sum), and a
-    pooling matrix product, though many times faster, adds in yet another
-    order: it rounds differently and would change the trained weights.
+    Pooling is a product with a sparse B x n matrix of ones, one row per
+    graph.  It adds each graph's rows left to right from 0.0, whatever
+    else the batch holds, so a graph pools to the same floats alone as
+    in any batch.
     """
     cfg = model.config
     w = model.weights
-    H = (np.log1p(X) - model.feature_mu) / model.feature_sigma
+    dtype = A.dtype
+    H = ((np.log1p(X) - model.feature_mu) / model.feature_sigma).astype(dtype, copy=False)
     cache: dict = {"A": A, "S": [], "H": [], "scale": []}
     for layer in range(1, cfg.layers + 1):
         S = A @ H
-        H = S @ w[f"W{layer}"]
-        H += w[f"b{layer}"]
-        np.maximum(H, 0.0, out=H)
+        H = _layer(S, w[f"W{layer}"], w[f"b{layer}"])
         scale = None
         if nprng is not None and cfg.dropout > 0.0 and layer < cfg.layers:
             # keep is 0 or 1, so (H * keep) * scale is the float H * (keep * scale)
@@ -281,15 +304,19 @@ def _forward_full(
         cache["S"].append(S)
         cache["H"].append(H)
         cache["scale"].append(scale)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    sums = np.add.reduceat(H, starts, axis=0)
-    means = sums / counts[:, None]
+    n = H.shape[0]
+    ends = np.cumsum(counts)
+    indptr = np.concatenate([[0], ends]).astype(np.int32)
+    pool = sparse.csr_matrix(
+        (np.ones(n, dtype=dtype), np.arange(n, dtype=np.int32), indptr), shape=(len(counts), n)
+    )
+    means = (pool @ H) / counts[:, None].astype(dtype)
     zg = means @ w["wg"] + w["bg"][0]
     zn = H @ w["wn"] + w["bn"][0]
     cache.update(
         {
             "counts": counts,
-            "starts": starts,
+            "starts": ends - counts,
             "means": means,
             "zg": zg,
             "zn": zn,
@@ -361,23 +388,26 @@ def _backward_from_cache(
     starts = cache["starts"]
     B = len(labels)
     H_final = cache["H"][-1]
+    # every array made here takes the activations' dtype: one float64
+    # operand would silently upcast each product after it
+    dtype = H_final.dtype
     n_total = H_final.shape[0]
 
-    dzg = (cache["graph_probs"] - labels) / B
+    dzg = (cache["graph_probs"] - labels.astype(dtype)) / B
     dmeans = np.outer(dzg, w["wg"])
     grads: dict[str, np.ndarray] = {
         "wg": cache["means"].T @ dzg,
         "bg": np.array([dzg.sum()]),
     }
-    dH = np.repeat(dmeans / counts[:, None], counts, axis=0)
+    dH = np.repeat(dmeans / counts[:, None].astype(dtype), counts, axis=0)
 
-    dzn = np.zeros(n_total, dtype=np.float64)
+    dzn = np.zeros(n_total, dtype=dtype)
     for g, split in enumerate(split_labels):
         if split is None:
             continue
         lo = int(starts[g])
         n = int(counts[g])
-        target = np.zeros(n)
+        target = np.zeros(n, dtype=dtype)
         target[split] = 1.0
         dzn[lo : lo + n] = (cache["node_scores"][lo : lo + n] - target) / (n * B)
     grads["wn"] = H_final.T @ dzn
@@ -529,12 +559,21 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
     model.feature_mu = mu
     model.feature_sigma = sigma
 
+    # the step's one dtype: its products take about half the float64
+    # time, while Adam's moments and the master weights stay float64
+    step_dtype = np.float32
     tensors = {
         i: _sample_tensors(
             samples[i].graph, cfg, float(samples[i].label), samples[i].split_node
         )
         for i in set(fit_idx) | set(val_idx)
     }
+    for t in tensors.values():
+        t.A = t.A.astype(step_dtype)
+
+    def step_model() -> GcnModel:
+        return replace(model, weights={k: v.astype(step_dtype) for k, v in model.weights.items()})
+
     nprng = np.random.default_rng(rng.next_u64())
 
     adam_m = {k: np.zeros_like(v) for k, v in model.weights.items()}
@@ -550,16 +589,17 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         for lo in range(0, len(order), config.batch_size):
             batch = [tensors[i] for i in order[lo : lo + config.batch_size]]
             X, A, counts, labels, splits = _assemble_batch(batch)
-            cache = _forward_full(model, X, A, counts, nprng)
+            step = step_model()
+            cache = _forward_full(step, X, A, counts, nprng)
             losses.append(_loss_from_cache(cache, labels, splits))
             correct += int(((cache["graph_probs"] > 0.5) == (labels > 0.5)).sum())
-            grads = _backward_from_cache(model, cache, labels, splits)
+            grads = _backward_from_cache(step, cache, labels, splits)
             t_step += 1
             lr_t = config.learning_rate * math.sqrt(
                 1.0 - ADAM_BETA2**t_step
             ) / (1.0 - ADAM_BETA1**t_step)
             for name in model.param_names():
-                g = grads[name]
+                g = grads[name].astype(np.float64)
                 adam_m[name] = ADAM_BETA1 * adam_m[name] + (1 - ADAM_BETA1) * g
                 adam_v[name] = ADAM_BETA2 * adam_v[name] + (1 - ADAM_BETA2) * g * g
                 model.weights[name] -= lr_t * adam_m[name] / (
@@ -569,7 +609,7 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         if val_idx:
             vt = [tensors[i] for i in val_idx]
             X, A, counts, labels, _ = _assemble_batch(vt)
-            cache = _forward_full(model, X, A, counts)
+            cache = _forward_full(step_model(), X, A, counts)
             val_acc = _accuracy(cache["graph_probs"], labels)
         history.epochs.append(
             {
@@ -645,20 +685,20 @@ def gcn_from_doc(doc: dict) -> GcnModel:
     try:
         config = GcnConfig(**raw_config)
         weights = {k: np.array(v, dtype=np.float64) for k, v in raw_weights.items()}
-        mu = np.array(doc.get("feature_mu", np.zeros(config.input_dim)), dtype=np.float64)
-        sigma = np.array(doc.get("feature_sigma", np.ones(config.input_dim)), dtype=np.float64)
+        # absent standardization is built below, once input_dim is checked
+        mu, sigma = (
+            np.array(doc[key], dtype=np.float64) if key in doc else None
+            for key in ("feature_mu", "feature_sigma")
+        )
     except (TypeError, ValueError, DataError) as exc:
         raise CheckpointError(f"malformed GCN checkpoint: {exc}") from exc
     # counted before any per-layer work, which a huge layer count would make huge
     if len(weights) != 2 * config.layers + 4:
         raise CheckpointError(f"checkpoint needs {2 * config.layers + 4} weight arrays")
-    if mu.shape != (config.input_dim,) or sigma.shape != (config.input_dim,):
-        raise CheckpointError("feature standardization has wrong shape")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
-        raise CheckpointError("feature standardization is not finite and positive")
-    model = GcnModel(config=config, weights=weights, feature_mu=mu, feature_sigma=sigma)
+    model = GcnModel(config=config, weights=weights)
     if set(weights) != set(model.param_names()):
         raise CheckpointError(f"checkpoint weights must be exactly {model.param_names()}")
+    # W1's rows bound input_dim by the document's own size
     d_in = config.input_dim
     for layer in range(1, config.layers + 1):
         W, b = weights[f"W{layer}"], weights[f"b{layer}"]
@@ -671,6 +711,13 @@ def gcn_from_doc(doc: dict) -> GcnModel:
     for bias in ("bg", "bn"):
         if weights[bias].shape != (1,):
             raise CheckpointError(f"bias {bias} has wrong shape")
+    mu = np.zeros(config.input_dim) if mu is None else mu
+    sigma = np.ones(config.input_dim) if sigma is None else sigma
+    if mu.shape != (config.input_dim,) or sigma.shape != (config.input_dim,):
+        raise CheckpointError("feature standardization has wrong shape")
+    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
+        raise CheckpointError("feature standardization is not finite and positive")
+    model.feature_mu, model.feature_sigma = mu, sigma
     if any(not np.all(np.isfinite(v)) for v in weights.values()):
         raise CheckpointError("checkpoint weights are not finite")
     return model

@@ -156,16 +156,16 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 
 # sha256 of a small GCN run's outputs: `train --model gnn` with the default
 # dropout and several Adam steps, its `--checkpoint-out` file, and the
-# `eval --format json` that reads its weights.  The report and checkpoint
-# were recorded before the training step was fused and before the manifest
-# stopped storing edge features; each such change has to keep every weight
-# bit.  The workspace embeds the manifest, so it moved with manifest
-# version 4.  The BLAS pool is pinned to one thread, since the thread count
-# changes how matrix products round.
+# `eval --format json` that reads its weights.  All three were recorded
+# when the training step moved to float32, which changed the trained
+# weights' bits on purpose; a change that means to keep every weight bit
+# has to keep these.  The workspace also embeds the manifest.  The BLAS
+# pool is pinned to one thread, since the thread count changes how matrix
+# products round.
 PINNED_GNN_OUTPUTS = {
-    "workspace": "86417e32e343fec68856d10a6ec628a89b09b801e2033dd60b4752adbcebdce1",
-    "checkpoint": "25b1d960f60c0af9b9b4dc25da3c1265aecda4641b00b5dbe325053b3d3f818f",
-    "report": "9804c0997378a3f1607a4cefd44339fe1983def4df2202434025d3e4214d2b10",
+    "workspace": "c36e70938a8beab7001e32b3fc497c03bc17431f3911cb8a3fdf902bc2268330",
+    "checkpoint": "b8e0bf5b5de3c11884a12f8b730cc5dfc136242e570d016325a78c4855fd7b62",
+    "report": "3a0df33eea3040e354eb44d202ec201a9c4ca56f2b64492a9e4d386f5a626ccf",
 }
 ONE_BLAS_THREAD = {v: "1" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
 
@@ -313,6 +313,20 @@ def test_exit_data_on_a_gnn_checkpoint_with_a_huge_layer_count(tmp_path, splitta
     code, _, err = run_cli(["suggest", splittable_file, "--model", str(checkpoint)])
     assert code == 3
     assert "weight arrays" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("standardization", ["kept", "absent"])
+def test_exit_data_on_a_gnn_checkpoint_with_a_huge_input_dim(tmp_path, splittable_file, standardization):
+    # checked against W1's rows before any array of that size is made
+    doc = gcn_to_doc(init_model(5, GcnConfig(layers=2, units=4)))
+    doc["config"]["input_dim"] = 10**12
+    if standardization == "absent":
+        del doc["feature_mu"], doc["feature_sigma"]
+    checkpoint = tmp_path / "huge.json"
+    checkpoint.write_text(json.dumps(doc))
+    code, _, err = run_cli(["suggest", splittable_file, "--model", str(checkpoint)])
+    assert code == 3
+    assert "wrong shape" in err and err.count("\n") == 1
 
 
 # --- pipeline ----------------------------------------------------------------------------

@@ -3,13 +3,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+from functools import reduce
 
 import numpy as np
 import pytest
 from scipy import sparse
 
+from refactorlab import gcn
 from refactorlab.errors import CheckpointError, DataError, DimensionMismatchError
 from refactorlab.gcn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     GcnConfig,
     TrainConfig,
     _assemble_batch,
@@ -241,6 +247,40 @@ def test_training_mode_gradient_check_with_fixed_dropout():
     assert worst <= 1e-4, f"gradient mismatch {worst}"
 
 
+def test_float32_gradients_match_float64():
+    # the training step's precision: the same two-graph batch and dropout
+    # draw as above, with the matrix and weights cast to float32
+    model = init_model(21, GcnConfig(layers=4, units=6, dropout=0.4))
+    graphs = [tiny_graph(), build_graph(parse_source(SPLITTABLE_SRC))]
+    tensors = [
+        _sample_tensors(g, model.config, float(i % 2), len(g.nodes) - 1 - i)
+        for i, g in enumerate(graphs)
+    ]
+    X, A, counts, labels, splits = _assemble_batch(tensors)
+    single = replace(model, weights={k: v.astype(np.float32) for k, v in model.weights.items()})
+    grads = {}
+    for m, a in ((model, A), (single, A.astype(np.float32))):
+        cache = _forward_full(m, X, a, counts, np.random.default_rng(77))
+        grads[a.dtype] = _backward_from_cache(m, cache, labels, splits)
+    wide, narrow = grads[np.dtype(np.float64)], grads[np.dtype(np.float32)]
+    for name in model.param_names():
+        assert wide[name].dtype == np.float64 and narrow[name].dtype == np.float32, name
+        err = np.linalg.norm(narrow[name] - wide[name]) / np.linalg.norm(wide[name])
+        assert err <= 1e-3, f"{name}: relative error {err}"
+
+
+def test_pooling_sums_each_graph_left_to_right():
+    model = init_model(8, SMALL_CFG)
+    graphs = [tiny_graph(), build_graph(parse_source(SPLITTABLE_SRC)), tiny_graph()]
+    X, A, counts, _, _ = _assemble_batch([_sample_tensors(g, SMALL_CFG, 0.0, None) for g in graphs])
+    cache = _forward_full(model, X, A, counts)
+    H = cache["H"][-1]
+    for g, (lo, n) in enumerate(zip(cache["starts"], counts)):
+        rows = H[lo : lo + n]
+        assert np.array_equal(cache["means"][g], reduce(np.add, rows, np.zeros(H.shape[1])) / n)
+        assert np.allclose(cache["means"][g], rows.mean(axis=0), rtol=1e-12, atol=0.0)
+
+
 def test_backward_covers_every_parameter():
     model = init_model(3, SMALL_CFG)
     grads = backward(model, tiny_graph(), label=1, split_label=2)
@@ -363,6 +403,57 @@ def test_train_rejects_empty_dataset():
 
     with pytest.raises(DataError):
         train(init_model(1, SMALL_CFG), Hollow(), TrainConfig(epochs=1))
+
+
+def test_train_steps_in_float32_over_float64_master_weights(small_dataset, monkeypatch):
+    model = init_model(42, SMALL_CFG)
+    start = {k: v.copy() for k, v in model.weights.items()}
+    forward_calls, step_grads = [], []
+    real_forward, real_backward = gcn._forward_full, gcn._backward_from_cache
+
+    def spy_forward(step, X, A, counts, nprng=None):
+        cache = real_forward(step, X, A, counts, nprng)
+        arrays = [*cache["S"], *cache["H"], cache["means"], cache["graph_probs"], cache["node_scores"]]
+        forward_calls.append(
+            (
+                {a.dtype for a in arrays} | {w.dtype for w in step.weights.values()},
+                {w.dtype for w in model.weights.values()},
+            )
+        )
+        return cache
+
+    def spy_backward(step, cache, labels, splits):
+        grads = real_backward(step, cache, labels, splits)
+        step_grads.append(grads)
+        return grads
+
+    monkeypatch.setattr(gcn, "_forward_full", spy_forward)
+    monkeypatch.setattr(gcn, "_backward_from_cache", spy_backward)
+    config = TrainConfig(epochs=1, batch_size=10**6, seed=42)
+    fitted, _ = train(model, small_dataset, config)
+    assert len(forward_calls) == 2  # one step and the validation pass
+    for step_dtypes, master_dtypes in forward_calls:
+        assert step_dtypes == {np.dtype(np.float32)}
+        assert master_dtypes == {np.dtype(np.float64)}
+    # the one Adam step, in float64 from zero moments: any float32 in the
+    # moments or the gradients' upcast would round these differently
+    (grads,) = step_grads
+    lr_t = config.learning_rate * math.sqrt(1.0 - ADAM_BETA2) / (1.0 - ADAM_BETA1)
+    for name in model.param_names():
+        g = grads[name].astype(np.float64)
+        m, v = (1 - ADAM_BETA1) * g, (1 - ADAM_BETA2) * g * g
+        expected = start[name] - lr_t * m / (np.sqrt(v) + ADAM_EPS)
+        assert fitted.weights[name].dtype == np.float64
+        assert np.array_equal(fitted.weights[name], expected), name
+
+
+def test_inference_runs_in_float64(small_dataset):
+    model, _ = train(init_model(42, SMALL_CFG), small_dataset, TrainConfig(epochs=1, seed=42))
+    graph = small_dataset.samples[small_dataset.split["test"][0]].graph
+    assert forward(model, graph).node_scores.dtype == np.float64
+    assert predict_graphs(model, [graph, graph]).dtype == np.float64
+    grads = backward(model, graph, label=1, split_label=0)
+    assert {g.dtype for g in grads.values()} == {np.dtype(np.float64)}
 
 
 def test_predict_graphs_matches_forward(small_dataset):
