@@ -5,9 +5,12 @@ loop enclosing two or more decisions, with real work after it), three
 kinds of decoys that match them on flat statistics, and neutral filler.
 Labels are recomputed structurally, never taken from the family tag.
 The pipeline then dedups, filters, caps outliers, oversamples the
-minority class, and produces a stratified train/test split.
+minority class, and produces a stratified train/test split.  The
+manifest (version 5) stores each sample's source, or the SMOTE recipe of
+an oversampled copy; loading rebuilds every graph from those.
 """
 
+import json
 from collections import Counter
 
 from refactorlab.corpus import (
@@ -16,6 +19,7 @@ from refactorlab.corpus import (
     structural_label,
     synth_corpus,
 )
+from refactorlab.graph import emit_graph_doc
 from refactorlab.minipy.parser import parse_source
 from refactorlab.rng import Rng
 from refactorlab.synth import generate_program, generate_units
@@ -44,8 +48,17 @@ print(f"samples: {len(ds.samples)} "
       f"minority share {labels[1] / len(ds.samples):.2f})")
 print(f"split: {len(ds.split['train'])} train / {len(ds.split['test'])} test")
 
-# --- the manifest round-trips byte-for-byte ---------------------------------
+# --- the manifest stores sources and recipes, and round-trips exactly -------
 
 doc = dataset_to_doc(ds)
-again = dataset_from_doc(doc)
+wire = json.dumps(doc, sort_keys=True)
+copies = sum(1 for s in doc["samples"] if "parent" in s)
+print(f"manifest v{doc['version']}: {len(wire) / 1e6:.2f} MB, "
+      f"{len(doc['samples']) - copies} samples with source, {copies} SMOTE recipes")
+again = dataset_from_doc(json.loads(wire))
+same_graphs = all(
+    emit_graph_doc(a.graph) == emit_graph_doc(b.graph) and a.flat.values == b.flat.values
+    for a, b in zip(ds.samples, again.samples)
+)
+print("rebuilt graphs and flat features equal:", same_graphs)
 print("manifest round trip exact:", dataset_to_doc(again) == doc)

@@ -150,7 +150,8 @@ def _parse_file(path: str):
 
 
 # --------------------------------------------------------------------------
-# workspace document: dataset manifest plus trained checkpoints
+# workspace document: the dataset manifest (each sample's source or SMOTE
+# recipe; graphs are rebuilt on load) plus trained checkpoints
 # --------------------------------------------------------------------------
 
 

@@ -33,25 +33,17 @@ from .errors import (
     SingleClassError,
     TooSmallError,
 )
-from .graph import (
-    NODE_TYPE_INDEX,
-    CodeGraph,
-    NodeRecord,
-    build_graph,
-    check_numbers,
-    emit_graph_doc,
-    ingest_graph_doc,
-    is_int,
-)
+from .graph import NODE_TYPE_INDEX, CodeGraph, NodeRecord, build_graph
 from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, flat_features
 from .minipy.nodes import AstNode, AstTree, count_decisions
 from .minipy.parser import parse_source
-from .minipy.source import SourceUnit
+from .minipy.source import SourceUnit, source_digest
+from .minipy.split import split_points
 from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-MANIFEST_VERSION = "4"
+MANIFEST_VERSION = "5"
 BUNDLE_VERSION = "1"
 
 DEFAULT_TEST_FRACTION = 0.20
@@ -96,7 +88,7 @@ class Provenance:
         vals = {}
         for name in fields:
             v = doc.get(name, 0)
-            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
+            if not is_int(v) or v < 0:
                 raise SchemaError(f"provenance.{name} must be a non-negative integer")
             vals[name] = v
         return cls(**vals)
@@ -107,9 +99,11 @@ class LabeledSample:
     """One training example: graph + flat features + label.
 
     ``split_node`` is the graph node id of the labeled extraction point
-    (first statement after the qualifying loop).  ``source`` is kept for
-    samples that came from real text so downstream stages can re-run
-    transforms; synthetic rows carry none.
+    (first statement after the qualifying loop).  A sample read from
+    source keeps its ``source``, ``path`` and parsed ``tree`` (in memory
+    only), so later stages replay splits without parsing again.  An
+    oversampled copy has none of those; it keeps its ``recipe`` instead,
+    (parent, neighbor, u), from which ``smote_copy`` derives it.
     """
 
     graph: CodeGraph
@@ -118,6 +112,8 @@ class LabeledSample:
     split_node: int | None = None
     source: str | None = None
     path: str | None = None
+    tree: AstTree | None = field(default=None, compare=False, repr=False)
+    recipe: tuple[int, int, float] | None = None
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
@@ -148,7 +144,14 @@ class Dataset:
 # --- ingest ------------------------------------------------------------------
 
 
-def ingest_dir(path: str | Path) -> tuple[list[SourceUnit], Provenance]:
+@dataclass(frozen=True)
+class ParsedUnit(SourceUnit):
+    """A unit that parsed, with its tree: no later stage parses it again."""
+
+    tree: AstTree = field(compare=False, repr=False)
+
+
+def ingest_dir(path: str | Path) -> tuple[list[ParsedUnit], Provenance]:
     """Read every *.mpy file under ``path`` and triage them with ``ingest_units``.
 
     Unreadable files are logged and skipped without aborting the walk.
@@ -169,25 +172,25 @@ def ingest_dir(path: str | Path) -> tuple[list[SourceUnit], Provenance]:
     return ingest_units(units)
 
 
-def ingest_units(units: Iterable[SourceUnit]) -> tuple[list[SourceUnit], Provenance]:
+def ingest_units(units: Iterable[SourceUnit]) -> tuple[list[ParsedUnit], Provenance]:
     """Count every unit as ingested; keep those that parse, in order."""
     prov = Provenance()
-    kept: list[SourceUnit] = []
+    kept: list[ParsedUnit] = []
     for unit in units:
         prov.ingested += 1
         try:
-            parse_source(unit.body)
+            tree = parse_source(unit.body)
         except (LexError, ParseError):
             prov.parse_failed += 1
             continue
-        kept.append(unit)
+        kept.append(ParsedUnit(unit.path, unit.body, unit.digest, tree))
     return kept, prov
 
 
-def dedup(units: Sequence[SourceUnit]) -> tuple[list[SourceUnit], int]:
+def dedup(units: Sequence[ParsedUnit]) -> tuple[list[ParsedUnit], int]:
     """Keep the path-lexicographically-first unit per normalized digest."""
     seen: set[str] = set()
-    kept: list[SourceUnit] = []
+    kept: list[ParsedUnit] = []
     removed = 0
     for unit in sorted(units, key=lambda u: u.path):
         if unit.digest in seen:
@@ -206,12 +209,12 @@ def _count_statements(node: AstNode) -> int:
     return total
 
 
-def filter_trivial(units: Sequence[SourceUnit]) -> tuple[list[SourceUnit], int]:
+def filter_trivial(units: Sequence[ParsedUnit]) -> tuple[list[ParsedUnit], int]:
     """Drop units with < 2 statements, or no functions and < 3 nodes."""
-    kept: list[SourceUnit] = []
+    kept: list[ParsedUnit] = []
     dropped = 0
     for unit in units:
-        tree = parse_source(unit.body)
+        tree = unit.tree
         stmts = _count_statements(tree.root)
         has_fn = any(n.kind == "FunctionDef" for n in tree.nodes)
         if stmts < 2 or (not has_fn and len(tree.nodes) < 3):
@@ -230,7 +233,9 @@ def structural_label(tree: AstTree) -> tuple[int, int | None]:
     Returns (1, split_node_id) when some function body contains a loop
     with >= 2 decision nodes strictly inside it followed by at least one
     more statement; the split node is the first statement after the first
-    such loop in the first such function.  Otherwise (0, None).
+    such loop in the first such function.  Otherwise (0, None).  When a
+    Return earlier in that body makes the split node no legal split point
+    (``split_points``), the program is still labeled 1, without a split.
 
     A bare trailing Return does not count as work after the loop:
     extracting only a return statement is not a meaningful method split.
@@ -243,13 +248,14 @@ def structural_label(tree: AstTree) -> tuple[int, int | None]:
             if count_decisions(stmt) - 1 < 2:
                 continue
             if i + 1 < len(body) and body[i + 1].kind != "Return":
-                return 1, body[i + 1].id
+                split = body[i + 1].id
+                return 1, split if split in split_points(tree) else None
     return 0, None
 
 
-def label_unit(unit: SourceUnit) -> LabeledSample:
-    """Parse, label, and featurize one unit."""
-    tree = parse_source(unit.body)
+def label_unit(unit: ParsedUnit) -> LabeledSample:
+    """Label and featurize one parsed unit."""
+    tree = unit.tree
     label, split_node = structural_label(tree)
     graph = build_graph(tree, source_digest=unit.digest)
     flat = flat_features(tree, graph)
@@ -260,6 +266,7 @@ def label_unit(unit: SourceUnit) -> LabeledSample:
         split_node=split_node,
         source=unit.body,
         path=unit.path,
+        tree=tree,
     )
 
 
@@ -295,6 +302,26 @@ def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
     return replace(graph, nodes=nodes)
 
 
+def smote_copy(
+    samples: Sequence[LabeledSample], parent: int, neighbor: int, u: float
+) -> LabeledSample:
+    """The oversampled row made from ``samples[parent]`` and ``samples[neighbor]``.
+
+    Its flat features are the SMOTE interpolation x + u * (nb - x)
+    (Chawla et al., JAIR 2002) and its graph is the parent's, jittered by
+    u; it takes the parent's label and split node and carries no source.
+    """
+    src = samples[parent]
+    pairs = zip(src.flat.values, samples[neighbor].flat.values)
+    return LabeledSample(
+        graph=_jitter_graph(src.graph, u),
+        flat=FlatFeatures([x + u * (nb - x) for x, nb in pairs]),
+        label=src.label,
+        split_node=src.split_node,
+        recipe=(parent, neighbor, u),
+    )
+
+
 def oversample(
     samples: Sequence[LabeledSample],
     target_minority: float = DEFAULT_TARGET_MINORITY,
@@ -302,10 +329,9 @@ def oversample(
 ) -> tuple[list[LabeledSample], int]:
     """Raise the minority class to ``target_minority`` by interpolation.
 
-    Flat features of synthetic rows are SMOTE interpolations
-    x + u * (neighbor - x) against one of the k = 5 nearest minority
-    neighbors (Euclidean on flat features); their graphs are jittered
-    copies of the source sample.  Majority rows are never touched.
+    Each new row is a ``smote_copy`` of a random minority sample against
+    one of its k = 5 nearest minority neighbors (Euclidean on flat
+    features).  Majority rows are never touched.
     """
     labels = [s.label for s in samples]
     n_pos = sum(labels)
@@ -326,25 +352,13 @@ def oversample(
     rng = Rng(seed)
     out = list(samples)
     for _ in range(n_new):
-        src_pos = rng.randrange(len(minority_idx))
-        src = samples[minority_idx[src_pos]]
+        src_pos = nb_pos = rng.randrange(len(minority_idx))
         if k >= 1:
             dists = np.sqrt(((X - X[src_pos]) ** 2).sum(axis=1))
             dists[src_pos] = np.inf
-            neighbor_pos = int(np.argsort(dists, kind="stable")[rng.randrange(k)])
-            nb_vec = X[neighbor_pos]
-        else:
-            nb_vec = X[src_pos]
+            nb_pos = int(np.argsort(dists, kind="stable")[rng.randrange(k)])
         u = rng.random()
-        new_flat = FlatFeatures(list(X[src_pos] + u * (nb_vec - X[src_pos])))
-        out.append(
-            LabeledSample(
-                graph=_jitter_graph(src.graph, u),
-                flat=new_flat,
-                label=minority_label,
-                split_node=src.split_node,
-            )
-        )
+        out.append(smote_copy(samples, minority_idx[src_pos], minority_idx[nb_pos], u))
     return out, n_new
 
 
@@ -399,7 +413,7 @@ def split_indices(
 
 
 def build_dataset(
-    units: Sequence[SourceUnit],
+    units: Sequence[ParsedUnit],
     seed: int = 42,
     test_fraction: float = DEFAULT_TEST_FRACTION,
     target_minority: float = DEFAULT_TARGET_MINORITY,
@@ -409,9 +423,10 @@ def build_dataset(
     """Run the whole pipeline on triaged units.
 
     Stages, in order: dedup, trivial filter, structural labeling, outlier
-    capping, minority oversampling, stratified split.
-    ``provenance`` carries ingest counts from an earlier triage stage;
-    when omitted the units are assumed all ingested and parseable.
+    capping, minority oversampling, stratified split.  ``units`` come from
+    ``ingest_units``, which parsed each one; no stage parses again.
+    ``provenance`` carries ingest counts from that triage; when omitted
+    every unit is counted as ingested.
     """
     prov = provenance or Provenance(ingested=len(units))
     units2, removed = dedup(units)
@@ -475,7 +490,7 @@ def units_from_bundle(doc: dict) -> tuple[list[SourceUnit], int]:
     if doc.get("version") != BUNDLE_VERSION:
         raise SchemaError(f"source bundle version must be {BUNDLE_VERSION!r}")
     seed = doc.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_int(seed):
         raise SchemaError("source bundle seed must be an integer")
     raw = doc.get("units")
     if not isinstance(raw, list):
@@ -491,65 +506,115 @@ def units_from_bundle(doc: dict) -> tuple[list[SourceUnit], int]:
     return units, seed
 
 
+def is_int(value: Any) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def check_numbers(value: Any, dim: int, path: str) -> list[float]:
+    """``value`` as ``dim`` finite floats; SchemaError naming ``path`` otherwise."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise SchemaError(f"{path} must be a list of {dim} numbers")
+    out: list[float] = []
+    for i, v in enumerate(value):
+        if isinstance(v, bool) or not isinstance(v, (int, float)):
+            raise SchemaError(f"{path}[{i}] is not a number")
+        f = float(v)
+        if not math.isfinite(f):
+            raise SchemaError(f"{path}[{i}] is not finite")
+        out.append(f)
+    return out
+
+
 def _sample_to_doc(sample: LabeledSample) -> dict:
+    if sample.recipe is not None:
+        parent, neighbor, u = sample.recipe
+        return {"parent": parent, "neighbor": neighbor, "u": u, "label": sample.label}
     doc: dict[str, Any] = {
-        "graph": emit_graph_doc(sample.graph),
+        "source": sample.source,
         "flat": list(sample.flat.values),
         "label": sample.label,
     }
-    if sample.split_node is not None:
-        doc["split_node"] = sample.split_node
-    if sample.source is not None:
-        doc["source"] = sample.source
     if sample.path is not None:
         doc["path"] = sample.path
+    if sample.split_node is not None:
+        doc["split_node"] = sample.split_node
     return doc
 
 
-_SAMPLE_KEYS = {"graph", "flat", "label", "split_node", "source", "path"}
+_SOURCE_KEYS = {"source", "path", "flat", "label", "split_node"}
+_COPY_KEYS = {"parent", "neighbor", "u", "label"}
 
 
-def _sample_from_doc(doc: dict, where: str) -> LabeledSample:
+def _check_sample_keys(doc: Any, where: str) -> bool:
+    """Whether ``doc`` is an oversampled copy, after checking its keys."""
     if not isinstance(doc, dict):
         raise SchemaError(f"{where} must be an object")
-    unknown = set(doc) - _SAMPLE_KEYS
+    is_copy = "source" not in doc
+    allowed = _COPY_KEYS if is_copy else _SOURCE_KEYS
+    needed = _COPY_KEYS if is_copy else {"source", "flat", "label"}
+    kind = "an oversampled copy (no source)" if is_copy else "a sample with source"
+    unknown = set(doc) - allowed
     if unknown:
-        raise SchemaError(f"{where} has unknown field {sorted(unknown)[0]!r}")
-    if "graph" not in doc or "flat" not in doc or "label" not in doc:
-        raise SchemaError(f"{where} needs graph, flat, and label")
-    graph = ingest_graph_doc(doc["graph"])
-    flat = check_numbers(doc["flat"], FLAT_DIM, f"{where}.flat")
-    label = doc["label"]
-    if label not in (0, 1) or isinstance(label, bool):
+        raise SchemaError(f"{where} is {kind} and cannot carry {sorted(unknown)[0]!r}")
+    missing = needed - set(doc)
+    if missing:
+        raise SchemaError(f"{where} is {kind} and needs {sorted(missing)[0]!r}")
+    if doc["label"] not in (0, 1) or isinstance(doc["label"], bool):
         raise SchemaError(f"{where}.label must be 0 or 1")
-    split_node = doc.get("split_node")
-    if split_node is not None and (
-        not isinstance(split_node, int)
-        or isinstance(split_node, bool)
-        or not 0 <= split_node < len(graph.nodes)
-    ):
-        raise SchemaError(f"{where}.split_node must be a node id of its graph")
-    source = doc.get("source")
-    if source is not None and not isinstance(source, str):
+    return is_copy
+
+
+def _sample_from_source(doc: dict, where: str) -> LabeledSample:
+    """Parse the sample's source once and rebuild its graph from the tree."""
+    source, path = doc["source"], doc.get("path")
+    if not isinstance(source, str):
         raise SchemaError(f"{where}.source must be a string")
-    path = doc.get("path")
     if path is not None and not isinstance(path, str):
         raise SchemaError(f"{where}.path must be a string")
+    flat = check_numbers(doc["flat"], FLAT_DIM, f"{where}.flat")
     try:
-        return LabeledSample(
-            graph=graph,
-            flat=FlatFeatures(flat),
-            label=label,
-            split_node=split_node,
-            source=source,
-            path=path,
-        )
-    except DataError as exc:
-        raise SchemaError(f"{where}: {exc}") from exc
+        tree = parse_source(source)
+    except (LexError, ParseError) as exc:
+        raise SchemaError(f"{where}.source does not parse: {exc}") from exc
+    split_node = doc.get("split_node")
+    if split_node is not None and (not is_int(split_node) or split_node not in split_points(tree)):
+        raise SchemaError(f"{where}.split_node must be a legal split point of its source")
+    return LabeledSample(
+        graph=build_graph(tree, source_digest(source)),
+        flat=FlatFeatures(flat),
+        label=doc["label"],
+        split_node=split_node,
+        source=source,
+        path=path,
+        tree=tree,
+    )
+
+
+def _sample_from_recipe(
+    doc: dict, where: str, samples: list[LabeledSample | None]
+) -> LabeledSample:
+    """Rebuild an oversampled copy from the real samples it names."""
+    for key in ("parent", "neighbor"):
+        i = doc[key]
+        target = samples[i] if is_int(i) and 0 <= i < len(samples) else None
+        if target is None or target.source is None:
+            raise SchemaError(f"{where}.{key} must be the index of a sample with source")
+        if target.label != doc["label"]:
+            raise SchemaError(f"{where}.{key} points at a sample of the other label")
+    u = doc["u"]
+    if isinstance(u, bool) or not isinstance(u, (int, float)) or not 0.0 <= u < 1.0:
+        raise SchemaError(f"{where}.u must be a number in [0, 1)")
+    return smote_copy(samples, doc["parent"], doc["neighbor"], float(u))
 
 
 def dataset_to_doc(dataset: Dataset) -> dict:
-    """Versioned manifest with inline graph documents."""
+    """Versioned, source-first manifest.
+
+    A sample with source stores its source, path, capped flat features,
+    label and split node; an oversampled copy stores only its recipe and
+    label.  Graphs, trees and copies are rebuilt on load.
+    """
     return {
         "version": MANIFEST_VERSION,
         "seed": dataset.seed,
@@ -572,13 +637,21 @@ def dataset_from_doc(doc: dict) -> Dataset:
     if doc.get("version") != MANIFEST_VERSION:
         raise SchemaError(f"manifest version must be {MANIFEST_VERSION!r}")
     seed = doc.get("seed")
-    if not isinstance(seed, int) or isinstance(seed, bool):
+    if not is_int(seed):
         raise SchemaError("manifest seed must be an integer")
     prov = Provenance.from_doc(doc.get("provenance", {}))
     raw_samples = doc.get("samples")
     if not isinstance(raw_samples, list):
         raise SchemaError("manifest samples must be an array")
-    samples = [_sample_from_doc(s, f"samples[{i}]") for i, s in enumerate(raw_samples)]
+    is_copy = [_check_sample_keys(s, f"samples[{i}]") for i, s in enumerate(raw_samples)]
+    # samples with source first: each copy is rebuilt from two of them
+    samples: list[LabeledSample | None] = [
+        None if copy else _sample_from_source(s, f"samples[{i}]")
+        for i, (s, copy) in enumerate(zip(raw_samples, is_copy))
+    ]
+    for i, (s, copy) in enumerate(zip(raw_samples, is_copy)):
+        if copy:
+            samples[i] = _sample_from_recipe(s, f"samples[{i}]", samples)
     raw_split = doc.get("split")
     if (
         not isinstance(raw_split, dict)

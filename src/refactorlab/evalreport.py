@@ -28,7 +28,6 @@ from .errors import (
 )
 from .gcn import GcnModel, predict_graphs, suggest_split
 from .metrics import coupling, cyclomatic
-from .minipy.parser import parse_source
 from .minipy.split import extract_split, split_points
 from .rules import classify_rules_graph
 
@@ -254,10 +253,9 @@ def compare(dataset: Dataset, dtree: DTreeModel, gcn: GcnModel) -> ComparisonRep
     gcn_scores = predict_graphs(gcn, [s.graph for s in samples])
     gcn_preds = (gcn_scores >= 0.5).astype(np.int64)
 
-    # splits are replayed on source text; oversampled copies carry none
-    trees = {
-        pos: parse_source(s.source) for pos, s in enumerate(samples) if s.source is not None
-    }
+    # splits are replayed on the trees parsed when the samples were read;
+    # oversampled copies carry none
+    trees = {pos: s.tree for pos, s in enumerate(samples) if s.tree is not None}
     points = {pos: split_points(tree) for pos, tree in trees.items()}
 
     # each sample's metrics, and each distinct split of it, are computed

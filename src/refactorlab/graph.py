@@ -13,26 +13,19 @@ A code graph keeps every AST node and adds five edge kinds:
 Nodes carry 12 features, documented next to their layout constants
 below.  An edge is only (src, dst, kind): its 6 features are functions of
 those three and the Parent tree, so ``edge_features`` derives them when
-asked and no edge stores them.  Graphs serialize to a versioned JSON
-document that round-trips losslessly; the ``graph`` command's document
-adds each edge's derived features.
+asked and no edge stores them.  A graph is a pure function of its tree,
+so nothing reads graphs back: ``emit_graph_doc`` writes the versioned
+output document of the ``graph`` command, which adds each edge's derived
+features.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
-from dataclasses import dataclass, field
-from typing import Any
+from dataclasses import dataclass
 
 from .errors import SchemaError
-from .minipy.nodes import (
-    AstNode,
-    AstTree,
-    KIND_INDEX,
-    NODE_KINDS,
-    expr_reads,
-)
+from .minipy.nodes import AstNode, AstTree, KIND_INDEX, expr_reads
 
 EDGE_KINDS: tuple[str, ...] = (
     "Parent",
@@ -313,96 +306,13 @@ def edge_features(graph: CodeGraph) -> list[list[float]]:
     return rows
 
 
-# --- interchange documents ------------------------------------------------------------
+# --- output document ------------------------------------------------------------
 
 GRAPH_DOC_VERSION = "1"
 
-_GRAPH_KEYS = {"version", "source_digest", "nodes", "edges"}
-_NODE_KEYS = {"id", "kind", "features"}
-_EDGE_KEYS = {"src", "dst", "kind"}
-
-
-def check_numbers(value: Any, dim: int, path: str) -> list[float]:
-    """``value`` as ``dim`` finite floats; SchemaError naming ``path`` otherwise."""
-    if not isinstance(value, list) or len(value) != dim:
-        raise SchemaError(f"{path} must be a list of {dim} numbers")
-    out: list[float] = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}[{i}] is not a number")
-        f = float(v)
-        if not math.isfinite(f):
-            raise SchemaError(f"{path}[{i}] is not finite")
-        out.append(f)
-    return out
-
-
-def is_int(value: Any) -> bool:
-    """An integer that is not a bool (JSON true/false load as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def ingest_graph_doc(doc: dict) -> CodeGraph:
-    """Validate and load a graph document; raises SchemaError on violation."""
-    if not isinstance(doc, dict):
-        raise SchemaError("graph document must be an object")
-    unknown = set(doc) - _GRAPH_KEYS
-    if unknown:
-        raise SchemaError(f"graph document has unknown field {sorted(unknown)[0]!r}")
-    if doc.get("version") != GRAPH_DOC_VERSION:
-        raise SchemaError(f"graph document version must be {GRAPH_DOC_VERSION!r}")
-    digest = doc.get("source_digest")
-    if (
-        not isinstance(digest, str)
-        or len(digest) != 32
-        or any(c not in "0123456789abcdef" for c in digest)
-    ):
-        raise SchemaError("source_digest must be 32 lowercase hex characters")
-    raw_nodes = doc.get("nodes")
-    if not isinstance(raw_nodes, list) or not raw_nodes:
-        raise SchemaError("nodes must be a non-empty list")
-    nodes: list[NodeRecord] = []
-    for i, rn in enumerate(raw_nodes):
-        path = f"nodes[{i}]"
-        if not isinstance(rn, dict):
-            raise SchemaError(f"{path} must be an object")
-        unknown = set(rn) - _NODE_KEYS
-        if unknown:
-            raise SchemaError(f"{path} has unknown field {sorted(unknown)[0]!r}")
-        if not is_int(rn.get("id")) or rn["id"] != i:
-            raise SchemaError(f"{path}.id must be {i} (ids dense, ascending)")
-        kind = rn.get("kind")
-        if kind not in NODE_KINDS:
-            raise SchemaError(f"{path}.kind {kind!r} is not a node kind")
-        features = check_numbers(rn.get("features"), NODE_FEATURE_DIM, f"{path}.features")
-        nodes.append(NodeRecord(id=i, kind=kind, features=features))
-    raw_edges = doc.get("edges")
-    if not isinstance(raw_edges, list):
-        raise SchemaError("edges must be a list")
-    edges: list[EdgeRecord] = []
-    for i, re in enumerate(raw_edges):
-        path = f"edges[{i}]"
-        if not isinstance(re, dict):
-            raise SchemaError(f"{path} must be an object")
-        unknown = set(re) - _EDGE_KEYS
-        if unknown:
-            raise SchemaError(f"{path} has unknown field {sorted(unknown)[0]!r}")
-        kind = re.get("kind")
-        if kind not in EDGE_KINDS:
-            raise SchemaError(f"{path}.kind {kind!r} is not an edge kind")
-        src = re.get("src")
-        dst = re.get("dst")
-        for end, v in (("src", src), ("dst", dst)):
-            if not is_int(v) or not 0 <= v < len(nodes):
-                raise SchemaError(f"{path}.{end} does not reference a node")
-        edges.append(EdgeRecord(src=src, dst=dst, kind=kind))
-    graph = CodeGraph(nodes=nodes, edges=edges, source_digest=digest)
-    parent_tree(graph)
-    return graph
-
 
 def emit_graph_doc(graph: CodeGraph) -> dict:
-    """Serialize a graph to its interchange document."""
+    """Serialize a graph to its output document."""
     return {
         "version": GRAPH_DOC_VERSION,
         "source_digest": graph.source_digest,

@@ -159,11 +159,12 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 # `eval --format json` that reads its weights.  All three were recorded
 # when the training step moved to float32, which changed the trained
 # weights' bits on purpose; a change that means to keep every weight bit
-# has to keep these.  The workspace also embeds the manifest.  The BLAS
-# pool is pinned to one thread, since the thread count changes how matrix
-# products round.
+# has to keep these.  The workspace also embeds the manifest; it was
+# re-pinned alone when the manifest became source-first (version 5), with
+# the checkpoint and report unchanged.  The BLAS pool is pinned to one
+# thread, since the thread count changes how matrix products round.
 PINNED_GNN_OUTPUTS = {
-    "workspace": "c36e70938a8beab7001e32b3fc497c03bc17431f3911cb8a3fdf902bc2268330",
+    "workspace": "03c6aced8d01313ef2b2323edd8757e47ce183602d22207c139de058aaa44e4e",
     "checkpoint": "b8e0bf5b5de3c11884a12f8b730cc5dfc136242e570d016325a78c4855fd7b62",
     "report": "3a0df33eea3040e354eb44d202ec201a9c4ca56f2b64492a9e4d386f5a626ccf",
 }
@@ -366,6 +367,42 @@ def test_corpus_build_is_byte_deterministic(pipeline):
     again = run_cli(["corpus", "build"], stdin_text=pipeline[0])
     assert again[0] == 0
     assert again[1] == pipeline[1]
+
+
+def test_corpus_build_parses_each_unit_once(monkeypatch, pipeline):
+    import refactorlab.minipy.parser as parser
+
+    parses = []
+    real = parser.parse
+
+    def counting(tokens):
+        parses.append(1)
+        return real(tokens)
+
+    bundle = json.loads(pipeline[0])
+    bundle["units"].append({"path": "zz_broken.mpy", "body": "def broken(:\n"})
+    monkeypatch.setattr(parser, "parse", counting)
+    code, out, err = run_cli(["corpus", "build"], stdin_text=json.dumps(bundle))
+    assert code == 0, err
+    provenance = json.loads(out)["provenance"]
+    assert (provenance["ingested"], provenance["parse_failed"]) == (31, 1)
+    assert len(parses) == 31
+
+
+@pytest.mark.parametrize("argv", [["train", "--model", "dtree"], ["eval"]])
+def test_exit_data_on_a_split_node_that_is_no_legal_split_point(argv):
+    code, bundle, err = run_cli(["synth", "--n", "40", "--seed", "3"])
+    code, manifest, err = run_cli(["corpus", "build"], stdin_text=bundle)
+    assert code == 0, err
+    doc = json.loads(manifest)
+    i = next(i for i, s in enumerate(doc["samples"]) if s.get("split_node") is not None)
+    doc["samples"][i]["split_node"] = 1  # a top-level statement: no tail starts there
+    code, _, err = run_cli(argv, stdin_text=json.dumps(doc))
+    assert code == 3
+    assert err == (
+        f"refactorlab: data error: samples[{i}].split_node must be a legal split point"
+        " of its source\n"
+    )
 
 
 def test_train_produces_a_workspace(pipeline):

@@ -39,6 +39,7 @@ from refactorlab.graph import NODE_TYPE_INDEX, build_graph, edge_features, emit_
 from refactorlab.metrics import FLAT_DIM, FlatFeatures, cyclomatic
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.source import SourceUnit
+from refactorlab.synth import generate_units
 
 from conftest import PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC
 
@@ -118,7 +119,7 @@ def test_filter_trivial_drops_single_statement_modules():
         unit("ok.mpy", "def f(a):\n    return a\n"),
         unit("flat.mpy", "x = 1\ny = x + 2\n"),
     ]
-    kept, dropped = filter_trivial(units)
+    kept, dropped = filter_trivial(ingest_units(units)[0])
     assert dropped == 1
     assert [u.path for u in kept] == ["ok.mpy", "flat.mpy"]
 
@@ -221,6 +222,8 @@ def test_oversample_rows_interpolate_minority_features():
     for synth in out[10:]:
         assert synth.label == 1
         assert synth.source is None
+        parent, neighbor, _ = synth.recipe
+        assert {samples[parent].label, samples[neighbor].label} == {1}
         for col, v in enumerate(synth.flat.values):
             lo = min(row[col] for row in minority)
             hi = max(row[col] for row in minority)
@@ -348,8 +351,6 @@ def test_build_dataset_invariants(small_dataset):
 
 
 def test_build_dataset_is_deterministic(small_dataset):
-    from refactorlab.synth import generate_units
-
     kept, prov = ingest_units(generate_units(80, seed=7))
     again = build_dataset(kept, seed=7)
     assert dataset_to_doc(again) == dataset_to_doc(small_dataset)
@@ -400,10 +401,12 @@ def test_manifest_round_trip(small_dataset):
 
 def test_manifest_graphs_round_trip_with_derived_edge_features(small_dataset):
     doc = dataset_to_doc(small_dataset)
-    assert doc["version"] == "4"
+    assert doc["version"] == "5"
+    # a sample stores its source or its SMOTE recipe; graphs are rebuilt on load
     for sample in doc["samples"]:
-        assert set(sample["graph"]) == {"version", "source_digest", "nodes", "edges"}
-        assert all("features" not in e for e in sample["graph"]["edges"])
+        assert "graph" not in sample
+        assert set(sample) <= ({"source", "path", "flat", "label", "split_node"} if "source" in sample
+                               else {"parent", "neighbor", "u", "label"})
     back = dataset_from_doc(json.loads(json.dumps(doc)))
     for was, now in zip(small_dataset.samples, back.samples, strict=True):
         assert now.graph.nodes == was.graph.nodes
@@ -412,25 +415,58 @@ def test_manifest_graphs_round_trip_with_derived_edge_features(small_dataset):
         assert (now.label, now.split_node) == (was.label, was.split_node)
 
 
+def test_manifest_rebuilds_every_sample_exactly():
+    # each real sample's graph comes back from its source and each copy's
+    # graph and flat from its recipe, equal float for float
+    kept, prov = ingest_units(generate_units(300, 11))
+    ds = build_dataset(kept, seed=11, provenance=prov)
+    assert any(s.recipe is not None for s in ds.samples)
+    back = dataset_from_doc(json.loads(json.dumps(dataset_to_doc(ds), sort_keys=True)))
+    for was, now in zip(ds.samples, back.samples, strict=True):
+        assert emit_graph_doc(now.graph) == emit_graph_doc(was.graph)
+        assert now.flat.values == was.flat.values
+        assert (now.label, now.split_node) == (was.label, was.split_node)
+        assert (now.source, now.path, now.recipe) == (was.source, was.path, was.recipe)
+    assert dataset_to_doc(back) == dataset_to_doc(ds)
+
+
+def test_labeled_split_after_an_earlier_return_is_left_out():
+    # the loop-then-tail pattern still labels the program, but the Return
+    # inside the loop makes the tail no legal split point
+    src = LABELED_SRC.replace("acc = acc + 2\n", "return acc\n")
+    tree = parse_source(src)
+    label, split_node = structural_label(tree)
+    assert (label, split_node) == (1, None)
+    ds = build_dataset(ingest_units([unit("r.mpy", src), unit("p.mpy", PLAIN_SRC)])[0], seed=1)
+    assert dataset_to_doc(dataset_from_doc(dataset_to_doc(ds))) == dataset_to_doc(ds)
+
+
 def test_manifest_rejects_malformed_documents(small_dataset):
     base = dataset_to_doc(small_dataset)
+    positive = next(i for i, s in enumerate(base["samples"]) if s.get("split_node"))
+    negative = next(i for i, s in enumerate(base["samples"]) if s["label"] == 0)
+    copy_at = next(i for i, s in enumerate(base["samples"]) if "parent" in s)
+    other_copy = next(i for i, s in enumerate(base["samples"]) if "parent" in s and i != copy_at)
 
-    def corrupt(mutate):
+    def corrupt(mutate, where=None):
         doc = copy.deepcopy(base)
         mutate(doc)
-        with pytest.raises(SchemaError):
+        with pytest.raises(SchemaError) as exc:
             dataset_from_doc(doc)
+        if where is not None:  # one line, naming the sample
+            assert f"samples[{where}]" in str(exc.value) and "\n" not in str(exc.value)
 
     corrupt(lambda d: d.update(extra=1))
     corrupt(lambda d: d.update(version="0"))
+    corrupt(lambda d: d.update(version="4"))
     corrupt(lambda d: d.update(seed="x"))
     corrupt(lambda d: d.update(provenance={"ingested": -1}))
     corrupt(lambda d: d.update(provenance={"bogus": 1}))
     corrupt(lambda d: d.update(samples={}))
-    corrupt(lambda d: d["samples"][0].update(label=2))
-    corrupt(lambda d: d["samples"][0].update(flat=[1.0, 2.0]))
-    corrupt(lambda d: d["samples"][0].update(mystery=True))
-    corrupt(lambda d: d["samples"][0].pop("graph"))
+    corrupt(lambda d: d["samples"][0].update(label=2), 0)
+    corrupt(lambda d: d["samples"][0].update(flat=[1.0, 2.0]), 0)
+    corrupt(lambda d: d["samples"][0].update(mystery=True), 0)
+    corrupt(lambda d: d["samples"][0].pop("flat"), 0)
     corrupt(lambda d: d.update(split={"train": [0]}))
     corrupt(lambda d: d["split"]["train"].append(0))  # overlap/cover violation
     corrupt(lambda d: d["split"]["train"].append(d["split"]["train"][0]))  # listed twice
@@ -439,17 +475,35 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["split"]["train"].__setitem__(0, "x"))
     corrupt(lambda d: d["split"]["train"].__setitem__(0, d["split"]["train"][0] + 0.5))
     corrupt(lambda d: d["split"]["train"].__setitem__(0, True))
-    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, "x"))
-    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, True))
-    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, float("nan")))
-    for split_node in (10**6, -1, True, 1.5):  # not a node id of the sample's graph
-        corrupt(lambda d: d["samples"][0].update(split_node=split_node))
-    # version 4 keeps the label and split node on the sample only, and stores
-    # no edge features: the old copies are unknown fields
-    corrupt(lambda d: d["samples"][0]["graph"].update(label=d["samples"][0]["label"]))
-    positive = next(i for i, s in enumerate(base["samples"]) if s["label"] == 1)
-    corrupt(lambda d: d["samples"][positive]["graph"].update(split_node=d["samples"][positive]["split_node"]))
-    corrupt(lambda d: d["samples"][0]["graph"]["edges"][0].update(features=[0.0] * 6))
+    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, "x"), 0)
+    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, True), 0)
+    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, float("nan")), 0)
+    # a split node must be a legal split point of the sample's own source:
+    # out of range, not an integer, or a node no tail may start at (the
+    # FunctionDef, id 1)
+    for split_node in (10**6, -1, True, 1.5, 1):
+        corrupt(lambda d: d["samples"][positive].update(split_node=split_node), positive)
+    # version 5 stores no graph: the old v4 encoding is an unknown field, on
+    # a sample with source and on a copy alike
+    graph_doc = emit_graph_doc(small_dataset.samples[0].graph)
+    corrupt(lambda d: d["samples"][0].update(graph=graph_doc), 0)
+    corrupt(lambda d: d["samples"][copy_at].update(graph=graph_doc), copy_at)
+    # a source that does not parse
+    corrupt(lambda d: d["samples"][0].update(source="def broken(:\n"), 0)
+    corrupt(lambda d: d["samples"][0].update(source=7), 0)
+    # a recipe names two samples with source, of the copy's own label
+    for key in ("parent", "neighbor"):
+        for bad in (True, -1, len(base["samples"]), 1.0, "0", other_copy, negative):
+            corrupt(lambda d: d["samples"][copy_at].update({key: bad}), copy_at)
+    # u is a number in [0, 1)
+    for u in (float("nan"), -0.1, 1.0, 1.5, float("inf"), True, "0.5", None):
+        corrupt(lambda d: d["samples"][copy_at].update(u=u), copy_at)
+    # a copy carries its recipe and label only; a sample with source no recipe
+    corrupt(lambda d: d["samples"][copy_at].update(source=PLAIN_SRC), copy_at)
+    corrupt(lambda d: d["samples"][copy_at].update(flat=base["samples"][0]["flat"]), copy_at)
+    corrupt(lambda d: d["samples"][copy_at].update(split_node=1), copy_at)
+    corrupt(lambda d: d["samples"][copy_at].pop("u"), copy_at)
+    corrupt(lambda d: d["samples"][0].update(parent=0), 0)
 
 
 def test_manifest_rejects_post_metrics_without_split(small_dataset):

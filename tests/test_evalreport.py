@@ -190,6 +190,34 @@ def test_compare_is_deterministic(report, small_dataset):
     assert report_to_json(compare(small_dataset, dtree, gcn)) == report_to_json(report)
 
 
+def test_compare_replays_splits_on_the_kept_trees(monkeypatch, small_dataset):
+    # the samples' trees were parsed when the dataset was read; compare's
+    # only parses are the ones each applied split makes of its result
+    import refactorlab.evalreport as evalreport
+    import refactorlab.minipy.parser as parser
+
+    calls = {"parse": 0, "extract_split": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(parser, "parse", counted("parse", parser.parse))
+    monkeypatch.setattr(evalreport, "extract_split", counted("extract_split", evalreport.extract_split))
+    train_idx = small_dataset.split["train"]
+    dtree = train_dtree(
+        [small_dataset.samples[i].flat.values for i in train_idx],
+        [small_dataset.samples[i].label for i in train_idx],
+        DTreeParams(max_depth=6, min_samples_split=2),
+    )
+    compare(small_dataset, dtree, init_model(8, GcnConfig(layers=4, units=16, dropout=0.0)))
+    assert calls["extract_split"] > 0
+    assert calls["parse"] == calls["extract_split"]
+
+
 def test_rules_scores_are_binary(report):
     thresholds = {p.threshold for p in report.models["rules"].pr.points}
     assert thresholds <= {0.0, 1.0}

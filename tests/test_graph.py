@@ -13,10 +13,11 @@ from refactorlab.graph import (
     NODE_FEATURE_DIM,
     NODE_FEATURE_NAMES,
     _node_reads,
+    EdgeRecord,
     build_graph,
     edge_features,
     emit_graph_doc,
-    ingest_graph_doc,
+    parent_tree,
 )
 from refactorlab.minipy.nodes import KIND_INDEX, AstNode, count_decisions
 from refactorlab.minipy.parser import parse_source
@@ -200,52 +201,17 @@ def test_build_graph_deterministic():
     assert a == b
 
 
-def test_graph_doc_round_trip():
-    graph = build_graph(parse_source(SPLITTABLE_SRC))
-    doc = emit_graph_doc(graph)
-    back = ingest_graph_doc(doc)
-    assert emit_graph_doc(back) == doc
-    assert edge_features(back) == edge_features(graph)
-    assert all(set(e) == {"src", "dst", "kind"} for e in doc["edges"])
-    assert doc["version"] == "1"
-
-
-def test_graph_doc_rejects_violations():
-    base = emit_graph_doc(build_graph(parse_source(TINY_SRC)))
-
-    def corrupt(mutate):
-        import copy
-
-        doc = copy.deepcopy(base)
-        mutate(doc)
-        with pytest.raises(SchemaError):
-            ingest_graph_doc(doc)
-
-    corrupt(lambda d: d.update(version="9"))
-    corrupt(lambda d: d.update(extra=1))
-    corrupt(lambda d: d["nodes"][0].update(kind="Mystery"))
-    corrupt(lambda d: d["nodes"][0]["features"].pop())
-    corrupt(lambda d: d["nodes"][0]["features"].__setitem__(0, float("nan")))
-    corrupt(lambda d: d["edges"][0].update(kind="Teleport"))
-    corrupt(lambda d: d["edges"][0].update(dst=99))
-    corrupt(lambda d: d["edges"].append(dict(d["edges"][0])))  # duplicate Parent edge
-    # edges store no features, and a sample's label and split node live on the sample
-    corrupt(lambda d: d["edges"][0].update(features=[0.0] * EDGE_FEATURE_DIM))
-    corrupt(lambda d: d.update(label=1))
-    corrupt(lambda d: d.update(split_node=1))
-    # bools posing as ints
-    corrupt(lambda d: d["nodes"][0].update(id=False))
-    corrupt(lambda d: d["edges"][0].update(src=False))
-
-
 def test_graph_doc_parent_edges_must_form_tree():
-    doc = emit_graph_doc(build_graph(parse_source(TINY_SRC)))
+    graph = build_graph(parse_source(TINY_SRC))
     # redirect the FunctionDef's parent edge onto itself: cycle, two roots
-    for e in doc["edges"]:
-        if e["kind"] == "Parent" and e["dst"] == 1:
-            e["src"] = 1
+    graph.edges = [
+        EdgeRecord(1, 1, "Parent") if e.kind == "Parent" and e.dst == 1 else e
+        for e in graph.edges
+    ]
     with pytest.raises(SchemaError):
-        ingest_graph_doc(doc)
+        parent_tree(graph)
+    with pytest.raises(SchemaError):
+        edge_features(graph)
 
 
 # --- one-pass builds against the quadratic reference ---------------------------------
