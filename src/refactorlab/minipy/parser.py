@@ -102,7 +102,8 @@ class _Parser:
                 return self.import_stmt()
             raise self.fail("statement")
         if tok.kind == "Ident":
-            if self.peek(1).kind == "Operator" and self.peek(1).text == "=":
+            nxt = self.peek(1)
+            if nxt.kind == "Operator" and nxt.text == "=":
                 return self.assign_stmt()
             return self.call_stmt()
         raise self.fail("statement")
@@ -249,7 +250,7 @@ class _Parser:
         """Parse an additive expression; returns (expr, call nodes in order)."""
         calls: list[AstNode] = []
         expr = self._term(calls)
-        while self.peek().kind == "Operator" and self.peek().text in ("+", "-"):
+        while (tok := self.peek()).kind == "Operator" and tok.text in ("+", "-"):
             op = self.advance().text
             right = self._term(calls)
             expr = BinOp(op, expr, right)
@@ -257,7 +258,7 @@ class _Parser:
 
     def _term(self, calls: list[AstNode]) -> Expr:
         expr = self._factor(calls)
-        while self.peek().kind == "Operator" and self.peek().text == "*":
+        while (tok := self.peek()).kind == "Operator" and tok.text == "*":
             self.advance()
             right = self._factor(calls)
             expr = BinOp("*", expr, right)

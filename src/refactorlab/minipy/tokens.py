@@ -4,10 +4,19 @@ MiniPy is indentation-structured like Python but closed: identifiers,
 integer literals, nine keywords, and a fixed operator set.  Indentation is
 exactly four spaces per level.  The lexer synthesizes Newline, Indent,
 Dedent, and Eof tokens so the parser never looks at whitespace.
+
+After its indentation, each line is scanned by one compiled pattern, the
+longest-match scanner of Aho, Lam, Sethi and Ullman (*Compilers*, 2nd ed.,
+ch. 3): one alternative per token class, tried in order at each position,
+with the two-character operators ahead of their one-character prefixes.
+Identifiers (``[A-Za-z_][A-Za-z0-9_]*``) and integers (``[0-9]+``) are
+ASCII; any character that starts no token, a non-ASCII letter or digit
+included, is an illegal character.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from ..errors import LexError
@@ -23,8 +32,18 @@ OPERATORS = ("<=", ">=", "==", "!=", "<", ">", "=", "+", "-", "*", "(", ")", ":"
 
 INDENT_WIDTH = 4
 
+# group numbers, read back from ``match.lastindex``; group 5 is any other
+# character, which is illegal (DOTALL, so that finditer skips none)
+_WORD, _INT, _OP, _SPACE = 1, 2, 3, 4
+_TOKEN_RE = re.compile(
+    r"([A-Za-z_][A-Za-z0-9_]*)|([0-9]+)|("
+    + "|".join(map(re.escape, OPERATORS))
+    + r")|( +)|(.)",
+    re.DOTALL,
+)
 
-@dataclass(frozen=True)
+
+@dataclass(slots=True)
 class Token:
     kind: str  # Keyword | Ident | Int | Operator | Newline | Indent | Dedent | Eof
     text: str
@@ -37,37 +56,21 @@ class Token:
 
 def _lex_line(text: str, line_no: int, start_col: int, out: list[Token]) -> None:
     """Lex one physical line's content (indentation already consumed)."""
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        col = start_col + i
-        if ch == " ":
-            i += 1
+    append = out.append
+    for m in _TOKEN_RE.finditer(text):
+        group = m.lastindex
+        if group == _SPACE:
             continue
-        if ch.isalpha() or ch == "_":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            word = text[i:j]
-            kind = "Keyword" if word in KEYWORDS else "Ident"
-            out.append(Token(kind, word, line_no, col))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            out.append(Token("Int", text[i:j], line_no, col))
-            i = j
-            continue
-        for op in OPERATORS:
-            if text.startswith(op, i):
-                out.append(Token("Operator", op, line_no, col))
-                i += len(op)
-                break
+        word = m.group()
+        col = start_col + m.start()
+        if group == _WORD:
+            append(Token("Keyword" if word in KEYWORDS else "Ident", word, line_no, col))
+        elif group == _OP:
+            append(Token("Operator", word, line_no, col))
+        elif group == _INT:
+            append(Token("Int", word, line_no, col))
         else:
-            raise LexError(f"illegal character {ch!r}", line_no, col)
+            raise LexError(f"illegal character {word!r}", line_no, col)
 
 
 def tokenize(source: str) -> list[Token]:
@@ -85,11 +88,9 @@ def tokenize(source: str) -> list[Token]:
         if raw.strip() == "":
             continue
         last_line_no = line_no
-        # measure indentation (spaces only)
-        i = 0
-        while i < len(raw) and raw[i] == " ":
-            i += 1
-        if i < len(raw) and raw[i] == "\t":
+        # measure indentation (spaces only); the line is not blank, so raw[i] exists
+        i = len(raw) - len(raw.lstrip(" "))
+        if raw[i] == "\t":
             raise LexError("tab in indentation", line_no, i + 1)
         if i % INDENT_WIDTH != 0:
             raise LexError(

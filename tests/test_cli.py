@@ -291,6 +291,38 @@ def test_corpus_build_counts_a_file_that_is_not_utf8_as_a_parse_failure(tmp_path
     assert (provenance["ingested"], provenance["parse_failed"]) == (4, 1)
 
 
+@pytest.mark.parametrize("command", ["parse", "metrics", "graph", "rules"])
+def test_exit_parse_on_a_non_ascii_digit(tmp_path, command):
+    # str.isdigit accepts a superscript two, which once reached int() and exited 4
+    path = tmp_path / "sup.mpy"
+    path.write_text("x = \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli([command, str(path)])
+    assert (code, out) == (2, "")
+    assert err == "refactorlab: parse error: line 1, col 5: illegal character '\u00b2'\n"
+
+
+def test_corpus_build_counts_a_file_with_a_non_ascii_digit_as_a_parse_failure(tmp_path):
+    for name, src in (("a", SPLITTABLE_SRC), ("b", PLAIN_SRC), ("c", UNSPLITTABLE_SRC)):
+        (tmp_path / f"{name}.mpy").write_text(src)
+    (tmp_path / "sup.mpy").write_text(PLAIN_SRC + "z = \u00b2\n", encoding="utf-8")
+    code, out, err = run_cli(["corpus", "build", "--in", str(tmp_path)])
+    assert code == 0, err
+    provenance = json.loads(out)["provenance"]
+    assert (provenance["ingested"], provenance["parse_failed"]) == (4, 1)
+
+
+def test_python_dash_m_runs_the_cli(plain_file):
+    src = str(ROOT / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "refactorlab", "parse", str(plain_file)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == run_cli(["parse", str(plain_file)])[1]
+
+
 def test_exit_data_on_malformed_stdin_manifest():
     code, _, err = run_cli(["train", "--model", "dtree"], stdin_text="{\"bogus\": 1}")
     assert code == 3

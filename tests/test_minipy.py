@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refactorlab.errors import LexError, ParseError, SchemaError
 from refactorlab.graph import EDGE_FEATURE_NAMES, EdgeRecord, build_graph, edge_features
@@ -11,7 +13,7 @@ from refactorlab.minipy.nodes import count_decisions, structural_equal
 from refactorlab.minipy.parser import MAX_NESTING, parse_source
 from refactorlab.minipy.printer import pretty_print
 from refactorlab.minipy.split import extract_split, split_points
-from refactorlab.minipy.tokens import tokenize
+from refactorlab.minipy.tokens import KEYWORDS, tokenize
 from refactorlab.synth import generate_units
 
 from conftest import COUPLED_SRC, IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC
@@ -60,19 +62,99 @@ def test_tokenize_blank_lines_ignored():
     assert len(tokenize("x = 1\n\n\ny = 2\n")) == len(tokenize("x = 1\ny = 2\n"))
 
 
-@pytest.mark.parametrize(
-    "bad",
-    [
-        "x = $\n",  # illegal character
-        "\tx = 1\n",  # tab indentation
-        "def f(a):\n   x = 1\n",  # three-space indent
-        "def f(a):\n            x = 1\n",  # jumps two levels
-        "def f(a):\n    if a > 1:\n        x = 1\n      y = 2\n",  # unknown dedent
-    ],
-)
+# source -> (message, line, col) of its LexError
+BAD_SOURCES = {
+    "x = $\n": ("illegal character '$'", 1, 5),
+    "\tx = 1\n": ("tab in indentation", 1, 1),
+    "def f(a):\n   x = 1\n": ("indentation of 3 spaces is not a multiple of 4", 2, 1),
+    "def f(a):\n            x = 1\n": ("indentation jumps more than one level", 2, 1),
+    # a dedent to six spaces fails the multiple-of-four check first
+    "def f(a):\n    if a > 1:\n        x = 1\n      y = 2\n": (
+        "indentation of 6 spaces is not a multiple of 4", 4, 1,
+    ),
+    # identifiers and integers are ASCII: str.isdigit and str.isalpha accept these
+    "x = \u00b2\n": ("illegal character '\u00b2'", 1, 5),  # superscript two
+    "x = \u0663\n": ("illegal character '\u0663'", 1, 5),  # Arabic-Indic three
+    "\u00e9 = 1\n": ("illegal character '\u00e9'", 1, 1),
+    "if a:\n    ab\u00e9 = 1\n": ("illegal character '\u00e9'", 2, 7),
+    "x = 1\t+ 2\n": ("illegal character '\\t'", 1, 6),  # a tab after indentation
+}
+
+
+@pytest.mark.parametrize("bad", list(BAD_SOURCES))
 def test_tokenize_rejects_bad_input(bad):
-    with pytest.raises(LexError):
+    message, line, col = BAD_SOURCES[bad]
+    with pytest.raises(LexError) as info:
         tokenize(bad)
+    assert str(info.value) == f"line {line}, col {col}: {message}"
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+# spelled out here, not imported, so that a misordered tokens.OPERATORS shows
+REFERENCE_OPERATORS = ("<=", ">=", "==", "!=", "<", ">", "=", "+", "-", "*", "(", ")", ":", ",", ".")
+
+
+def _reference_lex_line(text: str) -> list[tuple[str, str, int, int]]:
+    """The character-at-a-time lexer that the one-pattern scanner replaced,
+    restricted to ASCII, for one unindented line."""
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        col = 1 + i
+        if ch == " ":
+            i += 1
+            continue
+        if (ch.isascii() and ch.isalpha()) or ch == "_":
+            j = i + 1
+            while j < n and ((text[j].isascii() and text[j].isalnum()) or text[j] == "_"):
+                j += 1
+            word = text[i:j]
+            out.append(("Keyword" if word in KEYWORDS else "Ident", word, 1, col))
+            i = j
+            continue
+        if ch.isascii() and ch.isdigit():
+            j = i + 1
+            while j < n and text[j].isascii() and text[j].isdigit():
+                j += 1
+            out.append(("Int", text[i:j], 1, col))
+            i = j
+            continue
+        for op in REFERENCE_OPERATORS:
+            if text.startswith(op, i):
+                out.append(("Operator", op, 1, col))
+                i += len(op)
+                break
+        else:
+            raise LexError(f"illegal character {ch!r}", 1, col)
+    return out
+
+
+# line fragments: ASCII word and digit characters, every operator and keyword,
+# spaces, and characters that start no token
+_LINE_PIECES = [
+    *"abcxyzABCXYZ_0123456789", *REFERENCE_OPERATORS, *sorted(KEYWORDS),
+    " ", "   ", "$", "\t", "\u00b2", "\u00e9",
+]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.sampled_from(_LINE_PIECES), max_size=30).map("".join))
+def test_tokenize_matches_a_character_at_a_time_reference(line):
+    line = line.lstrip(" \t")  # indentation is not the line lexer's concern
+    try:
+        expected = _reference_lex_line(line)
+    except LexError as exc:
+        with pytest.raises(LexError) as info:
+            tokenize(line)
+        assert (str(info.value), info.value.line, info.value.col) == (str(exc), exc.line, exc.col)
+        return
+    if line:
+        expected += [("Newline", "\n", 1, len(line) + 1), ("Eof", "", 2, 1)]
+    else:
+        expected = [("Eof", "", 1, 1)]
+    assert [(t.kind, t.text, t.line, t.col) for t in tokenize(line)] == expected
 
 
 # --- parser -----------------------------------------------------------------
