@@ -6,7 +6,6 @@ agree.  The 35-entry flat feature vector is what the decision-tree
 baseline consumes.
 """
 
-from refactorlab.graph import build_graph
 from refactorlab.metrics import (
     cyclomatic,
     cyclomatic_cfg_oracle,
@@ -57,7 +56,7 @@ for fn in tree.functions():
 
 # --- the flat vector the tree baseline trains on -----------------------------
 
-flat = flat_features(tree, build_graph(tree))
+flat = flat_features(tree)
 named = flat.named()
 peek = {k: named[k] for k in ("lines", "nodes", "total_CC", "max_fn_CC", "coupling")}
 print("\nflat vector has", len(flat.values), "entries; a few of them:", peek)

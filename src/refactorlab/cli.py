@@ -151,7 +151,8 @@ def _parse_file(path: str):
 
 # --------------------------------------------------------------------------
 # workspace document: the dataset manifest (each sample's source or SMOTE
-# recipe; graphs are rebuilt on load) plus trained checkpoints
+# recipe; a graph is built when a stage first reads it) plus trained
+# checkpoints
 # --------------------------------------------------------------------------
 
 

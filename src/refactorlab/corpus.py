@@ -18,6 +18,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
@@ -96,17 +97,23 @@ class Provenance:
 
 @dataclass
 class LabeledSample:
-    """One training example: graph + flat features + label.
+    """One training example: flat features + label, and a code graph.
 
     ``split_node`` is the graph node id of the labeled extraction point
     (first statement after the qualifying loop).  A sample read from
     source keeps its ``source``, ``path`` and parsed ``tree`` (in memory
     only), so later stages replay splits without parsing again.  An
     oversampled copy has none of those; it keeps its ``recipe`` instead,
-    (parent, neighbor, u), from which ``smote_copy`` derives it.
+    (parent, neighbor, u), from which ``smote_copy`` derives it, and the
+    ``parent`` sample itself.
+
+    ``graph`` is built the first time a stage reads it, then kept: the
+    tree's ``build_graph``, or for a copy its parent's graph jittered by
+    u.  A stage that reads only ``flat`` and ``label`` builds none.  The
+    graph is no field, so equality and repr do not depend on whether it
+    has been built yet.
     """
 
-    graph: CodeGraph
     flat: FlatFeatures
     label: int
     split_node: int | None = None
@@ -114,10 +121,17 @@ class LabeledSample:
     path: str | None = None
     tree: AstTree | None = field(default=None, compare=False, repr=False)
     recipe: tuple[int, int, float] | None = None
+    parent: LabeledSample | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {self.label!r}")
+
+    @cached_property
+    def graph(self) -> CodeGraph:
+        if self.parent is not None:
+            return _jitter_graph(self.parent.graph, self.recipe[2])
+        return build_graph(self.tree, source_digest(self.source))
 
 
 @dataclass
@@ -254,14 +268,11 @@ def structural_label(tree: AstTree) -> tuple[int, int | None]:
 
 
 def label_unit(unit: ParsedUnit) -> LabeledSample:
-    """Label and featurize one parsed unit."""
+    """Label and featurize one parsed unit; its graph waits for a reader."""
     tree = unit.tree
     label, split_node = structural_label(tree)
-    graph = build_graph(tree, source_digest=unit.digest)
-    flat = flat_features(tree, graph)
     return LabeledSample(
-        graph=graph,
-        flat=flat,
+        flat=flat_features(tree),
         label=label,
         split_node=split_node,
         source=unit.body,
@@ -308,17 +319,18 @@ def smote_copy(
     """The oversampled row made from ``samples[parent]`` and ``samples[neighbor]``.
 
     Its flat features are the SMOTE interpolation x + u * (nb - x)
-    (Chawla et al., JAIR 2002) and its graph is the parent's, jittered by
-    u; it takes the parent's label and split node and carries no source.
+    (Chawla et al., JAIR 2002) and its graph, on first read, is the
+    parent's jittered by u; it takes the parent's label and split node and
+    carries no source.
     """
     src = samples[parent]
     pairs = zip(src.flat.values, samples[neighbor].flat.values)
     return LabeledSample(
-        graph=_jitter_graph(src.graph, u),
         flat=FlatFeatures([x + u * (nb - x) for x, nb in pairs]),
         label=src.label,
         split_node=src.split_node,
         recipe=(parent, neighbor, u),
+        parent=src,
     )
 
 
@@ -560,13 +572,13 @@ def _check_sample_keys(doc: Any, where: str) -> bool:
     missing = needed - set(doc)
     if missing:
         raise SchemaError(f"{where} is {kind} and needs {sorted(missing)[0]!r}")
-    if doc["label"] not in (0, 1) or isinstance(doc["label"], bool):
+    if not is_int(doc["label"]) or doc["label"] not in (0, 1):
         raise SchemaError(f"{where}.label must be 0 or 1")
     return is_copy
 
 
 def _sample_from_source(doc: dict, where: str) -> LabeledSample:
-    """Parse the sample's source once and rebuild its graph from the tree."""
+    """Parse the sample's source once and check its split node on the tree."""
     source, path = doc["source"], doc.get("path")
     if not isinstance(source, str):
         raise SchemaError(f"{where}.source must be a string")
@@ -581,7 +593,6 @@ def _sample_from_source(doc: dict, where: str) -> LabeledSample:
     if split_node is not None and (not is_int(split_node) or split_node not in split_points(tree)):
         raise SchemaError(f"{where}.split_node must be a legal split point of its source")
     return LabeledSample(
-        graph=build_graph(tree, source_digest(source)),
         flat=FlatFeatures(flat),
         label=doc["label"],
         split_node=split_node,
@@ -613,7 +624,8 @@ def dataset_to_doc(dataset: Dataset) -> dict:
 
     A sample with source stores its source, path, capped flat features,
     label and split node; an oversampled copy stores only its recipe and
-    label.  Graphs, trees and copies are rebuilt on load.
+    label.  Trees and copies are rebuilt on load, and each graph on first
+    read.
     """
     return {
         "version": MANIFEST_VERSION,
@@ -628,7 +640,12 @@ _MANIFEST_KEYS = {"version", "seed", "provenance", "samples", "split"}
 
 
 def dataset_from_doc(doc: dict) -> Dataset:
-    """Validate and load a dataset manifest; raises SchemaError on violation."""
+    """Validate and load a dataset manifest; raises SchemaError on violation.
+
+    Every source is parsed and every split node and recipe checked here,
+    so a malformed manifest fails at load; no graph is built until a stage
+    reads it.
+    """
     if not isinstance(doc, dict):
         raise SchemaError("manifest must be an object")
     unknown = set(doc) - _MANIFEST_KEYS

@@ -112,8 +112,8 @@ def _node_reads(node: AstNode) -> list[str]:
     return []
 
 
-def _structural_edges(tree: AstTree) -> list[tuple[int, int, str]]:
-    """All (src, dst, kind) triples, in canonical order."""
+def structural_edges(tree: AstTree) -> list[tuple[int, int, str]]:
+    """All (src, dst, kind) triples, in canonical order: the one definition of edges."""
     edges: list[tuple[int, int, str]] = []
     for node in tree.nodes:
         for child in node.children:
@@ -225,7 +225,7 @@ def build_graph(tree: AstTree, source_digest: str = "0" * 32) -> CodeGraph:
     Calls, ControlFlow, DataFlow, each block in ascending node order, so
     the output is deterministic for a given tree.
     """
-    triples = _structural_edges(tree)
+    triples = structural_edges(tree)
     features = _node_feature_table(tree, triples)
     nodes = [
         NodeRecord(id=node.id, kind=node.kind, features=features[node.id])

@@ -4,9 +4,10 @@
 basic-block control-flow graph and computes E - N + 2 independently, so
 the two can cross-check each other.  ``coupling`` is the one definition
 of coupling, over any subtree: the module's at node 0, a function's at
-its FunctionDef.  ``flat_features`` flattens a tree plus its code graph
-into the fixed 35-dimensional vector consumed by the decision tree and
-threshold rules.
+its FunctionDef.  ``flat_features`` flattens a tree into the fixed
+35-dimensional vector consumed by the decision tree and threshold rules;
+it counts the code graph's edges from ``structural_edges`` and builds no
+graph.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DataError, EmptyInputError, InvariantError
-from .graph import CodeGraph, EDGE_KINDS
+from .graph import EDGE_KINDS, structural_edges
 from .minipy.nodes import AstNode, AstTree, NODE_KINDS, count_decisions
 
 # --- cyclomatic complexity ---------------------------------------------------
@@ -215,16 +216,21 @@ class FlatFeatures:
         return dict(zip(self.names, self.values))
 
 
-def flat_features(tree: AstTree, graph: CodeGraph) -> FlatFeatures:
-    """35-dim summary of a module; empty module yields the zero vector."""
+def flat_features(tree: AstTree) -> FlatFeatures:
+    """35-dim summary of a module; empty module yields the zero vector.
+
+    The node and edge counts are those of the tree's code graph: one node
+    per AST node, and the edges of ``structural_edges``.
+    """
     if not tree.root.children:
         return FlatFeatures([0.0] * FLAT_DIM)
     node_counts = {k: 0 for k in NODE_KINDS}
-    for n in graph.nodes:
+    for n in tree.nodes:
         node_counts[n.kind] += 1
+    edges = structural_edges(tree)
     edge_counts = {k: 0 for k in EDGE_KINDS}
-    for e in graph.edges:
-        edge_counts[e.kind] += 1
+    for _, _, kind in edges:
+        edge_counts[kind] += 1
     n_nodes = len(tree.nodes)
     depths = tree.depths
     fns = tree.functions()
@@ -245,7 +251,7 @@ def flat_features(tree: AstTree, graph: CodeGraph) -> FlatFeatures:
         )
     )
     variables = {n.name for n in tree.nodes if n.kind in ("Assign", "For") and n.name}
-    n_edges = len(graph.edges)
+    n_edges = len(edges)
     density = n_edges / (n_nodes * (n_nodes - 1)) if n_nodes > 1 else 0.0
     leaves = sum(1 for n in tree.nodes if not n.children)
     scalars = [

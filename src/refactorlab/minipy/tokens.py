@@ -81,7 +81,9 @@ def tokenize(source: str) -> list[Token]:
     spaces aligned with the enclosing block structure.
     """
     tokens: list[Token] = []
-    indent_stack = [0]
+    # a line opens at most one level past the one above it, so the open
+    # blocks are always levels 1..depth and a depth says all of them
+    depth = 0
     lines = source.split("\n")
     last_line_no = 0
     for line_no, raw in enumerate(lines, start=1):
@@ -99,23 +101,16 @@ def tokenize(source: str) -> list[Token]:
                 1,
             )
         level = i // INDENT_WIDTH
-        current = indent_stack[-1]
-        if level == current + 1:
-            indent_stack.append(level)
+        if level == depth + 1:
             tokens.append(Token("Indent", "", line_no, 1))
-        elif level > current + 1:
+        elif level > depth + 1:
             raise LexError("indentation jumps more than one level", line_no, 1)
         else:
-            while indent_stack[-1] > level:
-                indent_stack.pop()
-                tokens.append(Token("Dedent", "", line_no, 1))
-            if indent_stack[-1] != level:
-                raise LexError("dedent to unknown indentation level", line_no, 1)
+            tokens.extend(Token("Dedent", "", line_no, 1) for _ in range(depth - level))
+        depth = level
         _lex_line(raw[i:], line_no, i + 1, tokens)
         tokens.append(Token("Newline", "\n", line_no, len(raw) + 1))
     end_line = last_line_no + 1 if last_line_no else 1
-    while len(indent_stack) > 1:
-        indent_stack.pop()
-        tokens.append(Token("Dedent", "", end_line, 1))
+    tokens.extend(Token("Dedent", "", end_line, 1) for _ in range(depth))
     tokens.append(Token("Eof", "", end_line, 1))
     return tokens

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -435,6 +436,77 @@ def test_exit_data_on_a_split_node_that_is_no_legal_split_point(argv):
         f"refactorlab: data error: samples[{i}].split_node must be a legal split point"
         " of its source\n"
     )
+
+
+def test_graphs_are_built_only_where_a_stage_reads_them(monkeypatch):
+    import refactorlab.corpus as corpus
+    from refactorlab.graph import emit_graph_doc
+    from refactorlab.minipy.source import source_digest
+
+    built: list[str] = []  # source digests of the trees built
+    jittered: list[float] = []  # u of each copy jittered
+    real_build, real_jitter = corpus.build_graph, corpus._jitter_graph
+
+    def counting_build(tree, digest="0" * 32):
+        built.append(digest)
+        return real_build(tree, digest)
+
+    def counting_jitter(graph, u):
+        jittered.append(u)
+        return real_jitter(graph, u)
+
+    monkeypatch.setattr(corpus, "build_graph", counting_build)
+    monkeypatch.setattr(corpus, "_jitter_graph", counting_jitter)
+
+    def stage(argv, stdin_text):
+        built.clear()
+        jittered.clear()
+        code, out, err = run_cli(argv, stdin_text=stdin_text)
+        assert code == 0, err
+        return out
+
+    bundle = stage(["synth", "--n", "40", "--seed", "3"], "")
+    manifest = stage(["corpus", "build"], bundle)
+    assert (built, jittered) == ([], [])
+    stage(["train", "--model", "dtree"], manifest)
+    assert (built, jittered) == ([], [])
+
+    doc = json.loads(manifest)
+    samples = doc["samples"]
+    assert any("parent" in s for s in samples)
+
+    def reads(split):
+        """Digests a split may build (its sources and its copies' parents) and its copies' u."""
+        sources = {i for i in doc["split"][split] if "source" in samples[i]}
+        sources |= {samples[i]["parent"] for i in doc["split"][split] if "parent" in samples[i]}
+        u = Counter(samples[i]["u"] for i in doc["split"][split] if "parent" in samples[i])
+        return {source_digest(samples[i]["source"]) for i in sources}, u
+
+    ws_gnn = stage(["train", "--model", "gnn", "--epochs", "1"], manifest)
+    may_build, copies = reads("train")
+    assert built and len(built) == len(set(built)) and set(built) <= may_build
+    assert jittered and not Counter(jittered) - copies  # each copy jittered once at most
+    ws_full = stage(["train", "--model", "dtree"], ws_gnn)
+    stage(["eval", "--format", "json"], ws_full)
+    may_build, copies = reads("test")
+    assert built and len(built) == len(set(built)) and set(built) <= may_build
+    assert not Counter(jittered) - copies
+
+    # each graph built on first read is the one built directly
+    dataset, unread = corpus.dataset_from_doc(doc), corpus.dataset_from_doc(doc)
+    before = repr(dataset.samples)
+    for sample, raw in zip(dataset.samples, samples, strict=True):
+        if "parent" in raw:
+            parent = samples[raw["parent"]]["source"]
+            direct = real_jitter(real_build(parse_source(parent), source_digest(parent)), raw["u"])
+        else:
+            direct = real_build(parse_source(raw["source"]), source_digest(raw["source"]))
+        assert emit_graph_doc(sample.graph) == emit_graph_doc(direct)
+        assert [[f.hex() for f in n.features] for n in sample.graph.nodes] == [
+            [f.hex() for f in n.features] for n in direct.nodes
+        ]
+    # equality and repr leave the graph out, built or not
+    assert dataset.samples == unread.samples and repr(dataset.samples) == before
 
 
 def test_train_produces_a_workspace(pipeline):

@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import json
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from refactorlab.corpus import (
     JITTER_SCALE,
@@ -30,6 +33,7 @@ from refactorlab.corpus import (
 )
 from refactorlab.errors import (
     DataError,
+    RefactorLabError,
     SchemaError,
     SingleClassError,
     TooSmallError,
@@ -197,9 +201,10 @@ def test_smote_target_rejects_degenerate_fractions():
 
 
 def sample_with(label: int, bump: float) -> LabeledSample:
-    graph = build_graph(parse_source(PLAIN_SRC))
     values = [float(i) + bump for i in range(FLAT_DIM)]
-    return LabeledSample(graph=graph, flat=FlatFeatures(values), label=label)
+    return LabeledSample(
+        flat=FlatFeatures(values), label=label, source=PLAIN_SRC, tree=parse_source(PLAIN_SRC)
+    )
 
 
 def test_oversample_hits_target_fraction():
@@ -464,6 +469,7 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d.update(provenance={"bogus": 1}))
     corrupt(lambda d: d.update(samples={}))
     corrupt(lambda d: d["samples"][0].update(label=2), 0)
+    corrupt(lambda d: d["samples"][0].update(label=float(d["samples"][0]["label"])), 0)
     corrupt(lambda d: d["samples"][0].update(flat=[1.0, 2.0]), 0)
     corrupt(lambda d: d["samples"][0].update(mystery=True), 0)
     corrupt(lambda d: d["samples"][0].pop("flat"), 0)
@@ -504,6 +510,138 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["samples"][copy_at].update(split_node=1), copy_at)
     corrupt(lambda d: d["samples"][copy_at].pop("u"), copy_at)
     corrupt(lambda d: d["samples"][0].update(parent=0), 0)
+
+
+# --- manifest robustness ----------------------------------------------------------
+
+# a valid source whose loop body holds one 3,000-term operator chain
+CHAIN_SRC = (
+    "def chain(a):\n"
+    "    s = 0\n"
+    "    for i in range(a):\n"
+    "        s = " + " + ".join(["i"] * 3000) + "\n"
+    "    return s\n"
+)
+
+
+def _nested(depth: int) -> list:
+    value: list = []
+    for _ in range(depth):  # built in a loop: deeper than the recursion limit
+        value = [value]
+    return value
+
+
+@functools.cache
+def _tiny_manifest_json() -> str:
+    kept, prov = ingest_units(generate_units(12, 3))
+    doc = dataset_to_doc(build_dataset(kept, seed=3, provenance=prov))
+    assert sum("parent" in s for s in doc["samples"]) == 3
+    return json.dumps(doc)
+
+
+def tiny_manifest() -> dict:
+    """A fresh copy of a 15-sample v5 manifest with 3 oversampled copies."""
+    return json.loads(_tiny_manifest_json())
+
+
+# values posing as the number, index, string or object a slot expects
+_POSERS = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.text(max_size=4),
+    st.integers(min_value=-(2**65), max_value=2**65),
+    st.integers(min_value=-3, max_value=20),
+    st.floats(),
+    st.sampled_from([0.0, 1.0, 0.5, 10**6]),
+    st.sampled_from([2, 5000]).map(_nested),
+    st.sampled_from([[], {}, {"a": 1}]),
+)
+_SAMPLE_KEYS = ("source", "path", "flat", "label", "split_node", "parent", "neighbor", "u", "graph")
+_MUTATIONS = st.one_of(
+    st.tuples(st.just("set"), st.integers(0, 99), st.sampled_from(_SAMPLE_KEYS), _POSERS),
+    st.tuples(st.just("drop"), st.integers(0, 99), st.sampled_from(_SAMPLE_KEYS)),
+    st.tuples(st.just("flat"), st.integers(0, 99), st.integers(0, 34), _POSERS),
+    st.tuples(st.just("chain"), st.integers(0, 99)),
+    st.tuples(
+        st.just("set"),
+        st.integers(0, 99),
+        st.just("source"),
+        st.one_of(
+            st.text(max_size=12), st.sampled_from(["def broken(:\n", "x = 1\n", "\n", PLAIN_SRC])
+        ),
+    ),
+    st.tuples(st.just("sample"), st.integers(0, 99), _POSERS),
+    st.tuples(st.just("split"), st.sampled_from(["train", "test"]), st.integers(0, 99), _POSERS),
+    st.tuples(
+        st.just("top"),
+        st.sampled_from(["version", "seed", "provenance", "samples", "split"]),
+        _POSERS,
+    ),
+    st.tuples(
+        st.just("provenance"), st.sampled_from(["ingested", "oversampled", "bogus"]), _POSERS
+    ),
+)
+
+
+def _mutate(doc: dict, mutation: tuple) -> None:
+    op, *args = mutation
+    samples = doc["samples"] if isinstance(doc.get("samples"), list) else []
+    if op == "top":
+        doc[args[0]] = args[1]
+    elif op == "provenance" and isinstance(doc.get("provenance"), dict):
+        doc["provenance"][args[0]] = args[1]
+    elif op == "split" and isinstance(doc.get("split"), dict):
+        entries = doc["split"].get(args[0])
+        if not isinstance(entries, list):
+            return
+        if args[1] < len(entries):
+            entries[args[1]] = args[2]
+        else:
+            entries.append(args[2])
+    elif op in ("set", "drop", "flat", "chain", "sample") and samples:
+        i = args[0] % len(samples)
+        sample = samples[i]
+        if op == "sample":
+            samples[i] = args[1]
+        elif not isinstance(sample, dict):
+            return
+        elif op == "set":
+            sample[args[1]] = args[2]
+        elif op == "drop":
+            sample.pop(args[1], None)
+        elif op == "flat" and isinstance(sample.get("flat"), list) and sample["flat"]:
+            sample["flat"][args[1] % len(sample["flat"])] = args[2]
+        elif op == "chain":
+            sample["source"] = CHAIN_SRC
+            sample.pop("split_node", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_MUTATIONS, min_size=1, max_size=3))
+@example([("chain", 0)])
+@example([("set", 14, "parent", True), ("set", 13, "u", None)])
+def test_manifest_loader_fails_only_at_load_with_its_own_errors(mutations):
+    # any mutated manifest either loads or raises a RefactorLabError (exit
+    # 3); a manifest that loads builds every graph on first read without a
+    # failure, so deferring the build moves no error past the load
+    doc = tiny_manifest()
+    for mutation in mutations:
+        _mutate(doc, mutation)
+    try:
+        dataset = dataset_from_doc(doc)
+    except RefactorLabError:
+        return
+    for sample in dataset.samples:
+        assert len(sample.graph.nodes) > 0
+
+
+def test_manifest_with_a_3000_term_chain_loads_and_builds_its_graph():
+    doc = tiny_manifest()
+    _mutate(doc, ("chain", 0))
+    sample = dataset_from_doc(doc).samples[0]
+    assert sample.source == CHAIN_SRC
+    direct = build_graph(parse_source(CHAIN_SRC), sample.graph.source_digest)
+    assert emit_graph_doc(sample.graph) == emit_graph_doc(direct)
 
 
 def test_manifest_rejects_post_metrics_without_split(small_dataset):

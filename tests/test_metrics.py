@@ -170,7 +170,7 @@ def test_flat_vector_shape_and_names():
     assert FLAT_DIM == 35
     assert len(FLAT_FEATURE_NAMES) == 35
     tree = parse_source(SPLITTABLE_SRC)
-    flat = flat_features(tree, build_graph(tree))
+    flat = flat_features(tree)
     assert len(flat.values) == 35
     assert list(flat.named()) == list(FLAT_FEATURE_NAMES)
 
@@ -178,7 +178,7 @@ def test_flat_vector_shape_and_names():
 def test_flat_selected_entries_fixture():
     tree = parse_source(SPLITTABLE_SRC)
     graph = build_graph(tree)
-    named = flat_features(tree, graph).named()
+    named = flat_features(tree).named()
     assert named["lines"] == 13.0
     assert named["nodes"] == float(len(graph.nodes))
     assert named["edges"] == float(len(graph.edges))
@@ -194,7 +194,7 @@ def test_flat_selected_entries_fixture():
 
 def test_flat_empty_module_is_zero_vector():
     tree = parse_source("\n")
-    assert flat_features(tree, build_graph(tree)).values == [0.0] * FLAT_DIM
+    assert flat_features(tree).values == [0.0] * FLAT_DIM
 
 
 def test_flat_features_reject_wrong_dim():
@@ -204,7 +204,7 @@ def test_flat_features_reject_wrong_dim():
 
 def test_plain_module_has_no_decisions():
     tree = parse_source(PLAIN_SRC)
-    named = flat_features(tree, build_graph(tree)).named()
+    named = flat_features(tree).named()
     assert named["total_CC"] == 1.0
     assert named["count_If"] == 0.0
 

@@ -108,7 +108,7 @@ def test_graph_classifier_matches_tree_classifier():
     for unit in generate_units(120, seed=21):
         tree = parse_source(unit.body)
         graph = build_graph(tree)
-        flat = flat_features(tree, graph)
+        flat = flat_features(tree)
         assert classify_rules_graph(graph, flat) == classify_rules(tree), unit.path
 
 
@@ -123,4 +123,4 @@ def test_graph_classifier_on_boundary_cases():
     ]:
         tree = parse_source(src)
         graph = build_graph(tree)
-        assert classify_rules_graph(graph, flat_features(tree, graph)) == want
+        assert classify_rules_graph(graph, flat_features(tree)) == want
