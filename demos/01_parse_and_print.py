@@ -1,4 +1,4 @@
-"""Parse a small program, walk its tree, and round-trip it.
+"""Parse a small program, walk its tree, print it, and write its document.
 
 The parser accepts an indentation-based integer language: functions,
 ``for``/``while``/``if``-``elif``-``else``, assignments, returns, imports,
@@ -7,7 +7,7 @@ with dense preorder ids, which the rest of the toolkit (metrics, graphs,
 models) builds on.
 """
 
-from refactorlab.minipy.astdoc import emit_ast_doc, ingest_ast_doc
+from refactorlab.minipy.astdoc import emit_ast_doc
 from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.printer import pretty_print
 
@@ -42,10 +42,10 @@ printed = pretty_print(tree)
 assert printed == pretty_print(parse_source(printed))
 print("\npretty_print(parse(x)) reproduces the normalized source:", printed == SOURCE)
 
-# --- portable document form --------------------------------------------------
+# --- output document (what `parse --format json` writes) ---------------------
 
 doc = emit_ast_doc(tree)
-again = ingest_ast_doc(doc)
-same_shape = [n.kind for n in tree.nodes] == [n.kind for n in again.nodes]
-print("AST document round-trips structure:", same_shape)
 print("document root keys:", sorted(doc))
+fn = doc["children"][1]
+print(f"second statement: {fn['kind']} {fn['name']} lines {fn['span']}, "
+      f"{len(fn['children'])} children")

@@ -30,8 +30,6 @@ from pathlib import Path
 from typing import Final, Sequence
 
 from .corpus import (
-    DEFAULT_CAP_PERCENTILE,
-    DEFAULT_TARGET_MINORITY,
     DEFAULT_TEST_FRACTION,
     Dataset,
     build_dataset,
@@ -44,7 +42,6 @@ from .corpus import (
 )
 from .dtree import (
     DTreeModel,
-    DTreeParams,
     dtree_from_doc,
     dtree_to_doc,
     train_dtree,
@@ -56,6 +53,8 @@ from .errors import (
     ParseError,
     RefactorLabError,
     SchemaError,
+    check_fields,
+    is_int,
 )
 from .evalreport import compare, pr_points_to_csv, report_to_csv, report_to_json
 from .gcn import (
@@ -118,7 +117,7 @@ def _read_json(path: str | None, kind: str) -> dict:
         raise SchemaError(f"empty input; expected a {kind} document")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past Python's 4,300-digit limit
         raise SchemaError(f"invalid JSON in {kind} document: {exc}") from exc
     except RecursionError as exc:
         raise SchemaError(f"{kind} document nests too deeply") from exc
@@ -160,9 +159,7 @@ def _load_workspace(doc: dict) -> tuple[Dataset, dict[str, dict]]:
     """Accept either a bare dataset manifest or a workspace wrapper."""
     if "samples" in doc:
         return dataset_from_doc(doc), {}
-    unknown = set(doc) - {"version", "seed", "dataset", "checkpoints"}
-    if unknown:
-        raise SchemaError(f"workspace has unknown field {sorted(unknown)[0]!r}")
+    check_fields(doc, {"version", "seed", "dataset", "checkpoints"}, "workspace")
     if doc.get("version") != WORKSPACE_VERSION:
         raise SchemaError(f"workspace version must be {WORKSPACE_VERSION!r}")
     inner = doc.get("dataset")
@@ -174,6 +171,9 @@ def _load_workspace(doc: dict) -> tuple[Dataset, dict[str, dict]]:
     for name in checkpoints:
         if name not in ("gnn", "dtree"):
             raise SchemaError(f"workspace checkpoint {name!r} is not gnn or dtree")
+    seed = doc.get("seed")
+    if not is_int(seed) or seed != inner.get("seed"):
+        raise SchemaError("workspace seed must be an integer equal to its manifest's seed")
     return dataset_from_doc(inner), dict(checkpoints)
 
 
@@ -200,11 +200,11 @@ def _train_gnn(dataset: Dataset, seed: int, config: TrainConfig) -> GcnModel:
     return fitted
 
 
-def _train_dtree(dataset: Dataset, params: DTreeParams) -> DTreeModel:
+def _train_dtree(dataset: Dataset) -> DTreeModel:
     rows = [dataset.samples[i] for i in dataset.split["train"]]
     X = [s.flat.values for s in rows]
     y = [s.label for s in rows]
-    model = train_dtree(X, y, params)
+    model = train_dtree(X, y)
     print(f"trained dtree: {len(model.nodes)} nodes, depth {model.depth()}", file=sys.stderr)
     return model
 
@@ -310,14 +310,7 @@ def _cmd_corpus_build(args: argparse.Namespace) -> int:
         raw_units, bundle_seed = units_from_bundle(bundle)
         units, prov = ingest_units(raw_units)
         seed = args.seed if args.seed is not None else bundle_seed
-    dataset = build_dataset(
-        units,
-        seed=seed,
-        test_fraction=args.test_fraction,
-        target_minority=args.target_minority,
-        cap_percentile=args.cap_percentile,
-        provenance=prov,
-    )
+    dataset = build_dataset(units, seed=seed, test_fraction=args.test_fraction, provenance=prov)
     labels = [s.label for s in dataset.samples]
     print(
         f"built corpus: {len(dataset.samples)} samples "
@@ -344,8 +337,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
         checkpoints["gnn"] = gcn_to_doc(model)
         standalone = checkpoints["gnn"]
     else:
-        params = DTreeParams(max_depth=args.max_depth, min_samples_split=args.min_split)
-        dmodel = _train_dtree(dataset, params)
+        dmodel = _train_dtree(dataset)
         checkpoints["dtree"] = dtree_to_doc(dmodel)
         standalone = checkpoints["dtree"]
     if args.checkpoint_out:
@@ -370,7 +362,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         dtree = dtree_from_doc(checkpoints["dtree"])
     else:
         print("no dtree checkpoint; training with defaults", file=sys.stderr)
-        dtree = _train_dtree(dataset, DTreeParams())
+        dtree = _train_dtree(dataset)
     report = compare(dataset, dtree, gnn)
     if args.pr_points:
         _emit(pr_points_to_csv(report, args.pr_points), args.out)
@@ -512,8 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--out", default=None)
     build.add_argument("--seed", type=int, default=None, help="default: bundle seed, else 42")
     build.add_argument("--test-fraction", type=float, default=DEFAULT_TEST_FRACTION)
-    build.add_argument("--target-minority", type=float, default=DEFAULT_TARGET_MINORITY)
-    build.add_argument("--cap-percentile", type=float, default=DEFAULT_CAP_PERCENTILE)
     build.set_defaults(func=_cmd_corpus_build)
 
     train_p = subs.add_parser("train", help="fit a model on a dataset manifest")
@@ -525,8 +515,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     train_p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
     train_p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
-    train_p.add_argument("--max-depth", type=int, default=DTreeParams.max_depth)
-    train_p.add_argument("--min-split", type=int, default=DTreeParams.min_samples_split)
     train_p.set_defaults(func=_cmd_train)
 
     eval_p = subs.add_parser("eval", help="compare rules, dtree, and gnn on the test split")

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -33,12 +33,16 @@ from .errors import (
     SchemaError,
     SingleClassError,
     TooSmallError,
+    check_fields,
+    check_numbers,
+    is_int,
+    is_number,
 )
 from .graph import NODE_TYPE_INDEX, CodeGraph, NodeRecord, build_graph
 from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, flat_features
 from .minipy.nodes import AstNode, AstTree, count_decisions
 from .minipy.parser import parse_source
-from .minipy.source import SourceUnit, source_digest
+from .minipy.source import SourceUnit
 from .minipy.split import split_points
 from .rng import Rng
 
@@ -70,22 +74,12 @@ class Provenance:
     oversampled: int = 0
 
     def to_doc(self) -> dict:
-        return {
-            "ingested": self.ingested,
-            "parse_failed": self.parse_failed,
-            "deduped": self.deduped,
-            "trivial_dropped": self.trivial_dropped,
-            "oversampled": self.oversampled,
-        }
+        return asdict(self)
 
     @classmethod
     def from_doc(cls, doc: dict) -> "Provenance":
-        if not isinstance(doc, dict):
-            raise SchemaError("provenance must be an object")
-        fields = ("ingested", "parse_failed", "deduped", "trivial_dropped", "oversampled")
-        unknown = set(doc) - set(fields)
-        if unknown:
-            raise SchemaError(f"provenance has unknown field {sorted(unknown)[0]!r}")
+        fields = cls().to_doc()
+        check_fields(doc, set(fields), "provenance")
         vals = {}
         for name in fields:
             v = doc.get(name, 0)
@@ -131,7 +125,7 @@ class LabeledSample:
     def graph(self) -> CodeGraph:
         if self.parent is not None:
             return _jitter_graph(self.parent.graph, self.recipe[2])
-        return build_graph(self.tree, source_digest(self.source))
+        return build_graph(self.tree)
 
 
 @dataclass
@@ -428,8 +422,6 @@ def build_dataset(
     units: Sequence[ParsedUnit],
     seed: int = 42,
     test_fraction: float = DEFAULT_TEST_FRACTION,
-    target_minority: float = DEFAULT_TARGET_MINORITY,
-    cap_percentile: float = DEFAULT_CAP_PERCENTILE,
     provenance: Provenance | None = None,
 ) -> Dataset:
     """Run the whole pipeline on triaged units.
@@ -449,7 +441,7 @@ def build_dataset(
         raise EmptyDatasetError("no samples survived dedup and filtering")
     samples = [label_unit(u) for u in units3]
 
-    capped = cap_outliers([s.flat for s in samples], percentile=cap_percentile)
+    capped = cap_outliers([s.flat for s in samples], percentile=DEFAULT_CAP_PERCENTILE)
     for sample, flat in zip(samples, capped):
         sample.flat = flat
 
@@ -459,7 +451,7 @@ def build_dataset(
 
     labels = [s.label for s in samples]
     if 0 < sum(labels) < len(labels):
-        samples, n_new = oversample(samples, target_minority, seed=seed_smote)
+        samples, n_new = oversample(samples, DEFAULT_TARGET_MINORITY, seed=seed_smote)
         prov.oversampled = n_new
 
     labels = [s.label for s in samples]
@@ -469,7 +461,7 @@ def build_dataset(
     return ds
 
 
-def synth_corpus(n: int, seed: int = 42, **kwargs: Any) -> Dataset:
+def synth_corpus(n: int, seed: int = 42) -> Dataset:
     """Generate n programs and push them through the pipeline."""
     from .synth import generate_units
 
@@ -477,7 +469,7 @@ def synth_corpus(n: int, seed: int = 42, **kwargs: Any) -> Dataset:
         raise DataError(f"synthetic corpus needs n >= 10, got {n}")
     units = generate_units(n, seed)
     kept, prov = ingest_units(units)
-    return build_dataset(kept, seed=seed, provenance=prov, **kwargs)
+    return build_dataset(kept, seed=seed, provenance=prov)
 
 
 # --- interchange documents ----------------------------------------------------
@@ -494,11 +486,7 @@ def units_to_bundle(units: Sequence[SourceUnit], seed: int) -> dict:
 
 def units_from_bundle(doc: dict) -> tuple[list[SourceUnit], int]:
     """Parse a source bundle document; returns (units, seed)."""
-    if not isinstance(doc, dict):
-        raise SchemaError("source bundle must be an object")
-    unknown = set(doc) - {"version", "seed", "units"}
-    if unknown:
-        raise SchemaError(f"source bundle has unknown field {sorted(unknown)[0]!r}")
+    check_fields(doc, {"version", "seed", "units"}, "source bundle")
     if doc.get("version") != BUNDLE_VERSION:
         raise SchemaError(f"source bundle version must be {BUNDLE_VERSION!r}")
     seed = doc.get("seed")
@@ -516,26 +504,6 @@ def units_from_bundle(doc: dict) -> tuple[list[SourceUnit], int]:
             raise SchemaError(f"units[{i}] path and body must be strings")
         units.append(SourceUnit.from_text(path, body))
     return units, seed
-
-
-def is_int(value: Any) -> bool:
-    """An integer that is not a bool (JSON true/false load as bools)."""
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def check_numbers(value: Any, dim: int, path: str) -> list[float]:
-    """``value`` as ``dim`` finite floats; SchemaError naming ``path`` otherwise."""
-    if not isinstance(value, list) or len(value) != dim:
-        raise SchemaError(f"{path} must be a list of {dim} numbers")
-    out: list[float] = []
-    for i, v in enumerate(value):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise SchemaError(f"{path}[{i}] is not a number")
-        f = float(v)
-        if not math.isfinite(f):
-            raise SchemaError(f"{path}[{i}] is not finite")
-        out.append(f)
-    return out
 
 
 def _sample_to_doc(sample: LabeledSample) -> dict:
@@ -614,7 +582,7 @@ def _sample_from_recipe(
         if target.label != doc["label"]:
             raise SchemaError(f"{where}.{key} points at a sample of the other label")
     u = doc["u"]
-    if isinstance(u, bool) or not isinstance(u, (int, float)) or not 0.0 <= u < 1.0:
+    if not is_number(u) or not 0.0 <= u < 1.0:
         raise SchemaError(f"{where}.u must be a number in [0, 1)")
     return smote_copy(samples, doc["parent"], doc["neighbor"], float(u))
 
@@ -646,11 +614,7 @@ def dataset_from_doc(doc: dict) -> Dataset:
     so a malformed manifest fails at load; no graph is built until a stage
     reads it.
     """
-    if not isinstance(doc, dict):
-        raise SchemaError("manifest must be an object")
-    unknown = set(doc) - _MANIFEST_KEYS
-    if unknown:
-        raise SchemaError(f"manifest has unknown field {sorted(unknown)[0]!r}")
+    check_fields(doc, _MANIFEST_KEYS, "manifest")
     if doc.get("version") != MANIFEST_VERSION:
         raise SchemaError(f"manifest version must be {MANIFEST_VERSION!r}")
     seed = doc.get("seed")

@@ -8,18 +8,22 @@ deterministic.  Descent sends x[f] <= t to the left child.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+import reprlib
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CheckpointError, DataError, EmptyInputError
+from .errors import CheckpointError, DataError, EmptyInputError, check_fields, is_int, is_number
 
 DEFAULT_MAX_DEPTH = 20
 DEFAULT_MIN_SAMPLES_SPLIT = 5
 
 CHECKPOINT_VERSION = "1"
+
+_CHECKPOINT_KEYS = {"version", "kind", "params", "n_features", "nodes"}
+_LEAF_KEYS = {"prob_refactor"}
+_INTERNAL_KEYS = {"feature_index", "threshold", "left", "right"}
 
 
 def gini(labels: Sequence[int]) -> float:
@@ -33,11 +37,6 @@ def gini(labels: Sequence[int]) -> float:
     return 1.0 - p0 * p0 - p1 * p1
 
 
-def _is_count(value: object) -> bool:
-    """A non-negative integer that is not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
 @dataclass
 class DTreeParams:
     max_depth: int = DEFAULT_MAX_DEPTH
@@ -46,14 +45,11 @@ class DTreeParams:
     def __post_init__(self) -> None:
         for name in ("max_depth", "min_samples_split"):
             value = getattr(self, name)
-            if not _is_count(value):
-                raise DataError(f"{name} must be an integer >= 0, got {value!r}")
+            if not is_int(value) or value < 0:
+                raise DataError(f"{name} must be an integer >= 0, got {reprlib.repr(value)}")
 
     def to_dict(self) -> dict:
-        return {
-            "max_depth": self.max_depth,
-            "min_samples_split": self.min_samples_split,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -170,21 +166,17 @@ def dtree_to_doc(model: DTreeModel) -> dict:
     }
 
 
-def _is_number(value: object) -> bool:
-    """An int or a finite float, not a bool."""
-    if isinstance(value, bool):
-        return False
-    return isinstance(value, int) or (isinstance(value, float) and math.isfinite(value))
-
-
 def dtree_from_doc(doc: dict) -> DTreeModel:
     if not isinstance(doc, dict) or doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError("bad decision-tree checkpoint version")
     if doc.get("kind") != "dtree":
         raise CheckpointError("checkpoint is not a decision tree")
+    check_fields(doc, _CHECKPOINT_KEYS, "decision-tree checkpoint", CheckpointError)
     raw_params, nodes, n_features = doc.get("params"), doc.get("nodes"), doc.get("n_features")
     if not isinstance(raw_params, dict) or not isinstance(nodes, list):
         raise CheckpointError("decision-tree checkpoint needs a params object and a nodes array")
+    params_keys = set(DTreeParams().to_dict())
+    check_fields(raw_params, params_keys, "decision-tree checkpoint params", CheckpointError)
     try:
         params = DTreeParams(
             max_depth=raw_params.get("max_depth"),
@@ -192,28 +184,28 @@ def dtree_from_doc(doc: dict) -> DTreeModel:
         )
     except DataError as exc:
         raise CheckpointError(f"malformed decision-tree checkpoint: {exc}") from exc
-    if not _is_count(n_features) or n_features < 1:
-        raise CheckpointError(f"n_features must be an integer >= 1, got {n_features!r}")
+    if not is_int(n_features) or n_features < 1:
+        raise CheckpointError(f"n_features must be an integer >= 1, got {reprlib.repr(n_features)}")
     if not nodes:
         raise CheckpointError("checkpoint has no nodes")
     count = len(nodes)
     for i, node in enumerate(nodes):
-        if not isinstance(node, dict):
-            raise CheckpointError(f"node {i} must be an object")
-        if "prob_refactor" in node:
+        is_leaf = isinstance(node, dict) and "prob_refactor" in node
+        check_fields(node, _LEAF_KEYS if is_leaf else _INTERNAL_KEYS, f"node {i}", CheckpointError)
+        if is_leaf:
             p = node["prob_refactor"]
-            if not _is_number(p) or not 0.0 <= p <= 1.0:
-                raise CheckpointError(f"node {i} leaf probability {p!r} outside [0,1]")
-        elif all(k in node for k in ("feature_index", "threshold", "left", "right")):
+            if not is_number(p) or not 0.0 <= p <= 1.0:
+                raise CheckpointError(f"node {i} leaf probability {reprlib.repr(p)} outside [0,1]")
+        elif set(node) == _INTERNAL_KEYS:
             f = node["feature_index"]
-            if not _is_count(f) or f >= n_features:
-                raise CheckpointError(f"node {i} feature index {f!r} out of range")
-            if not _is_number(node["threshold"]):
+            if not is_int(f) or not 0 <= f < n_features:
+                raise CheckpointError(f"node {i} feature index {reprlib.repr(f)} out of range")
+            if not is_number(node["threshold"]):
                 raise CheckpointError(f"node {i} threshold is not a finite number")
             for side in ("left", "right"):
                 child = node[side]
-                if not _is_count(child) or not i < child < count:
-                    raise CheckpointError(f"node {i} {side} child {child!r} invalid")
+                if not is_int(child) or not i < child < count:
+                    raise CheckpointError(f"node {i} {side} child {reprlib.repr(child)} invalid")
         else:
             raise CheckpointError(f"node {i} is neither a leaf nor a complete internal node")
     return DTreeModel(nodes=list(nodes), params=params, n_features=n_features)

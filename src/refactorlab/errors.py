@@ -4,9 +4,16 @@ Every error carries enough context to be printed as a one-line
 diagnostic.  The CLI maps exception families to exit codes: usage
 problems -> 1, source-language problems -> 2, data/schema problems -> 3,
 internal invariant violations -> 4.
+
+The checks every document reader shares are defined here too, once:
+``is_int``, ``is_number``, ``check_numbers`` and ``check_fields``.
 """
 
 from __future__ import annotations
+
+import math
+import sys
+from typing import Any
 
 
 class RefactorLabError(Exception):
@@ -90,3 +97,40 @@ class NonPositiveBaseError(DataError):
 
 class InvariantError(RefactorLabError):
     """An internal consistency check failed."""
+
+
+# --- document checks ----------------------------------------------------------------
+
+
+def is_int(value: Any) -> bool:
+    """An integer that is not a bool (JSON true/false load as bools)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: Any) -> bool:
+    """An int or a float that is finite as a float, never a bool."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_int(value) and abs(value) <= sys.float_info.max
+
+
+def check_numbers(value: Any, dim: int, path: str) -> list[float]:
+    """``value`` as ``dim`` finite floats; SchemaError naming ``path`` otherwise."""
+    if not isinstance(value, list) or len(value) != dim:
+        raise SchemaError(f"{path} must be a list of {dim} numbers")
+    for i, v in enumerate(value):
+        if not is_number(v):
+            what = "finite" if isinstance(v, float) else "a number"
+            raise SchemaError(f"{path}[{i}] is not {what}")
+    return [float(v) for v in value]
+
+
+def check_fields(
+    doc: Any, allowed: set[str], where: str, error: type[RefactorLabError] = SchemaError
+) -> None:
+    """Raise ``error`` unless ``doc`` is an object with no field outside ``allowed``."""
+    if not isinstance(doc, dict):
+        raise error(f"{where} must be an object")
+    unknown = set(doc) - allowed
+    if unknown:
+        raise error(f"{where} has unknown field {sorted(unknown)[0]!r}")

@@ -47,7 +47,8 @@ changes how matrix products round, and with it the trained weights.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import reprlib
+from dataclasses import asdict, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -59,11 +60,15 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     EmptyDatasetError,
+    check_fields,
+    is_int,
+    is_number,
 )
 from .graph import EDGE_STRENGTH, NODE_FEATURE_DIM, CodeGraph, edge_features
 from .rng import Rng
 
 CHECKPOINT_VERSION = "2"
+_CHECKPOINT_KEYS = {"version", "kind", "config", "feature_mu", "feature_sigma", "weights"}
 
 # Adam moment decays and denominator guard
 ADAM_BETA1 = 0.9
@@ -83,19 +88,14 @@ class GcnConfig:
     def __post_init__(self) -> None:
         for name in ("layers", "units", "input_dim"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+            if not is_int(value) or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
         d = self.dropout
-        if isinstance(d, bool) or not isinstance(d, (int, float)) or not 0.0 <= d < 1.0:
-            raise DataError(f"dropout must be a number in [0, 1), got {d!r}")
+        if not is_number(d) or not 0.0 <= d < 1.0:
+            raise DataError(f"dropout must be a number in [0, 1), got {reprlib.repr(d)}")
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.layers,
-            "units": self.units,
-            "dropout": self.dropout,
-            "input_dim": self.input_dim,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,11 @@ class TrainConfig:
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise DataError(f"{name} must be an integer >= 1, got {value!r}")
+            if not is_int(value) or value < 1:
+                raise DataError(f"{name} must be an integer >= 1, got {reprlib.repr(value)}")
         lr = self.learning_rate
-        if isinstance(lr, bool) or not isinstance(lr, (int, float)) or not 0.0 < lr < math.inf:
-            raise DataError(f"learning_rate must be a finite number > 0, got {lr!r}")
+        if not is_number(lr) or not lr > 0.0:
+            raise DataError(f"learning_rate must be a finite number > 0, got {reprlib.repr(lr)}")
 
 
 @dataclass
@@ -679,6 +679,7 @@ def gcn_from_doc(doc: dict) -> GcnModel:
         raise CheckpointError("bad GCN checkpoint version")
     if doc.get("kind") != "gcn":
         raise CheckpointError("checkpoint is not a GCN")
+    check_fields(doc, _CHECKPOINT_KEYS, "GCN checkpoint", CheckpointError)
     raw_config, raw_weights = doc.get("config"), doc.get("weights")
     if not isinstance(raw_config, dict) or not isinstance(raw_weights, dict):
         raise CheckpointError("GCN checkpoint needs config and weights objects")
@@ -690,7 +691,7 @@ def gcn_from_doc(doc: dict) -> GcnModel:
             np.array(doc[key], dtype=np.float64) if key in doc else None
             for key in ("feature_mu", "feature_sigma")
         )
-    except (TypeError, ValueError, DataError) as exc:
+    except (TypeError, ValueError, OverflowError, DataError) as exc:
         raise CheckpointError(f"malformed GCN checkpoint: {exc}") from exc
     # counted before any per-layer work, which a huge layer count would make huge
     if len(weights) != 2 * config.layers + 4:
@@ -720,4 +721,9 @@ def gcn_from_doc(doc: dict) -> GcnModel:
     model.feature_mu, model.feature_sigma = mu, sigma
     if any(not np.all(np.isfinite(v)) for v in weights.values()):
         raise CheckpointError("checkpoint weights are not finite")
+    # numpy reads true as 1.0 and "2" as 2.0; the document holds numbers only
+    arrays = {**raw_weights, **{k: doc[k] for k in ("feature_mu", "feature_sigma") if k in doc}}
+    for key, value in arrays.items():
+        if not all(map(is_number, np.array(value, dtype=object).ravel())):
+            raise CheckpointError(f"checkpoint {key} holds a value that is not a number")
     return model

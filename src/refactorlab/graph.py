@@ -92,7 +92,6 @@ class EdgeRecord:
 class CodeGraph:
     nodes: list[NodeRecord]
     edges: list[EdgeRecord]
-    source_digest: str
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -218,7 +217,7 @@ def _node_feature_table(
 # --- graph construction -----------------------------------------------------------
 
 
-def build_graph(tree: AstTree, source_digest: str = "0" * 32) -> CodeGraph:
+def build_graph(tree: AstTree) -> CodeGraph:
     """Build the attributed graph for a tree.
 
     Node order follows preorder ids; edge order is Parent, NextSibling,
@@ -232,7 +231,7 @@ def build_graph(tree: AstTree, source_digest: str = "0" * 32) -> CodeGraph:
         for node in tree.nodes
     ]
     edges = [EdgeRecord(src=s, dst=d, kind=k) for s, d, k in triples]
-    return CodeGraph(nodes=nodes, edges=edges, source_digest=source_digest)
+    return CodeGraph(nodes=nodes, edges=edges)
 
 
 # --- the Parent tree and edge features ---------------------------------------------
@@ -308,14 +307,17 @@ def edge_features(graph: CodeGraph) -> list[list[float]]:
 
 # --- output document ------------------------------------------------------------
 
-GRAPH_DOC_VERSION = "1"
+GRAPH_DOC_VERSION = "2"
 
 
 def emit_graph_doc(graph: CodeGraph) -> dict:
-    """Serialize a graph to its output document."""
+    """Serialize a graph to its output document: its version, nodes and edges.
+
+    Version "2" dropped version 1's ``source_digest``, which the ``graph``
+    command always wrote as 32 zeros.
+    """
     return {
         "version": GRAPH_DOC_VERSION,
-        "source_digest": graph.source_digest,
         "nodes": [
             {"id": n.id, "kind": n.kind, "features": list(n.features)} for n in graph.nodes
         ],

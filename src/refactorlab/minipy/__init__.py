@@ -1,6 +1,6 @@
 """MiniPy language front end: lexer, parser, printer, documents, transforms."""
 
-from .astdoc import emit_ast_doc, ingest_ast_doc
+from .astdoc import emit_ast_doc
 from .interp import behavior_fingerprint, call_function, run_module
 from .nodes import AstNode, AstTree, KIND_INDEX, NODE_KINDS, structural_equal
 from .parser import parse, parse_source
@@ -20,7 +20,6 @@ __all__ = [
     "call_function",
     "emit_ast_doc",
     "extract_split",
-    "ingest_ast_doc",
     "live_variables",
     "normalize_source",
     "parse",

@@ -1,83 +1,23 @@
-"""AST interchange documents (versioned JSON).
+"""AST output documents (versioned JSON), written by ``parse --format json``.
 
 Schema, version "1":
 
     {"version": "1", "kind": "...", "name": "...", "span": [start, end],
      "children": [ ... ]}
 
-``kind`` is required; ``name``, ``span``, ``children``, and ``version``
-are optional (``version`` may appear on the root and must then be "1").
-Unknown fields and unknown kinds are rejected.  Documents carry structure
-only: expression payloads are not serialized, so ingest followed by emit
-is lossless for structure, spans, and names.
+Every node carries ``kind``, ``span`` and ``children``, and ``name`` when
+it has one; ``version`` appears on the root only.  Documents carry
+structure only: expression payloads are not serialized.  Nothing reads
+them back, since a tree is always parsed from its source.
 """
 
 from __future__ import annotations
 
 from typing import Any
 
-from ..errors import InvariantError, SchemaError
-from .nodes import AstNode, AstTree, NODE_KINDS
-
-_ALLOWED_KEYS = {"version", "kind", "name", "span", "children"}
+from .nodes import AstNode, AstTree
 
 DOC_VERSION = "1"
-
-
-def _check_span(value: Any, path: str) -> tuple[int, int]:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(isinstance(v, int) and not isinstance(v, bool) for v in value)
-    ):
-        raise SchemaError(f"{path}.span must be a pair of integers")
-    start, end = value
-    if start < 1 or end < start:
-        raise SchemaError(f"{path}.span {value} is not a valid line range")
-    return (start, end)
-
-
-def _ingest_node(doc: Any, path: str, at_root: bool) -> AstNode:
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{path} must be an object")
-    unknown = set(doc) - _ALLOWED_KEYS
-    if unknown:
-        raise SchemaError(f"{path} has unknown field {sorted(unknown)[0]!r}")
-    if "version" in doc and doc["version"] != DOC_VERSION:
-        raise SchemaError(f"{path}.version must be {DOC_VERSION!r}")
-    kind = doc.get("kind")
-    if kind not in NODE_KINDS:
-        raise SchemaError(f"{path}.kind {kind!r} is not a MiniPy node kind")
-    if at_root and kind != "Module":
-        raise SchemaError("root kind must be Module")
-    name = doc.get("name")
-    if name is not None and not isinstance(name, str):
-        raise SchemaError(f"{path}.name must be a string")
-    raw_children = doc.get("children", [])
-    if not isinstance(raw_children, list):
-        raise SchemaError(f"{path}.children must be a list")
-    children = [
-        _ingest_node(c, f"{path}.children[{i}]", False)
-        for i, c in enumerate(raw_children)
-    ]
-    if "span" in doc:
-        span = _check_span(doc["span"], path)
-    elif children:
-        span = (min(c.span[0] for c in children), max(c.span[1] for c in children))
-    else:
-        span = (1, 1)
-    return AstNode(kind, name=name, children=children, span=span)
-
-
-def ingest_ast_doc(doc: dict) -> AstTree:
-    """Validate and load an AST document; raises SchemaError on violation."""
-    root = _ingest_node(doc, "$", True)
-    try:
-        tree = AstTree.from_root(root)
-        tree.validate()
-    except InvariantError as exc:
-        raise SchemaError(f"document violates tree invariants: {exc}") from exc
-    return tree
 
 
 def _emit_node(node: AstNode, at_root: bool) -> dict:
@@ -93,6 +33,6 @@ def _emit_node(node: AstNode, at_root: bool) -> dict:
 
 
 def emit_ast_doc(tree: AstTree | AstNode) -> dict:
-    """Serialize a tree to the interchange schema (version, spans included)."""
+    """Serialize a tree to the output schema (version, spans included)."""
     root = tree.root if isinstance(tree, AstTree) else tree
     return _emit_node(root, True)

@@ -2,8 +2,7 @@
 
 Normalization strips trailing whitespace per line, collapses blank-line
 runs, and trims leading/trailing blank lines, so cosmetically different
-copies of the same code share one MD5 digest.  Digests key deduplication
-and tie graph documents back to their source.
+copies of the same code share one MD5 digest.  Digests key deduplication.
 """
 
 from __future__ import annotations

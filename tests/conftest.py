@@ -118,6 +118,14 @@ print(relay(y))
 """
 
 
+def nested_list(depth: int) -> list:
+    """An empty list wrapped ``depth`` times."""
+    value: list = []
+    for _ in range(depth):  # built in a loop: deeper than the recursion limit
+        value = [value]
+    return value
+
+
 def grown_source(nodes: int, seed: int = 11) -> str:
     """Synthetic programs joined into one file of at least ``nodes`` AST nodes.
 

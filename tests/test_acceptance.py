@@ -164,7 +164,7 @@ def _permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
         key=lambda n: n.id,
     )
     edges = [EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind) for e in graph.edges]
-    return CodeGraph(nodes=nodes, edges=edges, source_digest=graph.source_digest)
+    return CodeGraph(nodes=nodes, edges=edges)
 
 
 def test_criterion_04_forward_is_permutation_equivariant_on_50_graphs():

@@ -115,17 +115,20 @@ def test_seed_is_echoed(plain_file):
 # nested function, scope depth 2) before depth and scope were recorded once
 # per tree and coupling was defined once; grown.mpy (synthetic programs
 # joined into 2,038 nodes) before DataFlow and the node features were built
-# in one pass each.  Each refactor kept every byte.
+# in one pass each.  Each refactor kept every byte.  The three graph cases
+# were re-pinned when graph documents went to version "2": each new output
+# is the old one with its all-zero "source_digest" removed and "version"
+# set to "2", and nothing else moved.
 PINNED_OUTPUTS = {
-    "graph": "6b1b3a5140d7e19a25a3d69486d45b5824ea726aa0d75022c14820a59423dabb",
+    "graph": "1b0020fb6862f7ceaf1b832859a6dbd44d26168ce19a87e483e2e39e3ecacdee",
     "viz": "d24bb2d54c8ca5f0a6b92eb08ae5c09eaabad680e12c976c866a941582a20349",
     "viz_split": "0a3065c2668a9393654194caf5a112174507b9b8df068d80ae2c5509bf45ff2f",
     "viz_dot": "c644d9f7cf0e73e85a3c7379ff1e30b80ebd9857e5038909adff83d02ef60538",
-    "relay_graph": "ae5c597b332d6a054c7657b5969f070e51e219b97c5ec3b188f2d25f62c8e6dc",
+    "relay_graph": "ea63b9598de1009f82681a3ff60709bf7b672cfcb2a4d330fa5c2fc507aa39fc",
     "relay_metrics": "94397bd83ed7286a2b960fffabf0ffbd516a358482f50c7f2271c2fb5d8c14ae",
     "relay_rules": "56c36c2f0696c4b1b5a9a4efd21027933ce13803652cb1bfe575cbd27bc4ea80",
     "relay_viz": "8821420d980041adfa87d028ce6aa617ea622ee8c15c390e89b4c2599b8baec2",
-    "grown_graph": "7026b5e44c6f8bb86abf2a8f2e4da26d13f1c88843831322ae68aec1518bf8e8",
+    "grown_graph": "93520e668e73ab3ed43e1209b32c313ca0c26dd4063915190440b4dc44bb4031",
 }
 
 
@@ -338,6 +341,14 @@ def test_exit_data_on_deeply_nested_json(argv):
     assert err == "refactorlab: data error: dataset manifest document nests too deeply\n"
 
 
+@pytest.mark.parametrize("argv", [["train", "--model", "dtree"], ["eval"], ["corpus", "build"]])
+def test_exit_data_on_an_integer_too_long_to_read(argv):
+    # past Python's limit on integer digits, which escaped as exit 4
+    code, _, err = run_cli(argv, stdin_text='{"seed": ' + "9" * 5000 + "}")
+    assert code == 3
+    assert err.startswith("refactorlab: data error: invalid JSON in") and err.count("\n") == 1
+
+
 def test_exit_data_on_a_gnn_checkpoint_with_a_huge_layer_count(tmp_path, splittable_file):
     # checked against the weight count before any per-layer work
     doc = gcn_to_doc(init_model(5, GcnConfig(layers=2, units=4)))
@@ -445,16 +456,24 @@ def test_graphs_are_built_only_where_a_stage_reads_them(monkeypatch):
 
     built: list[str] = []  # source digests of the trees built
     jittered: list[float] = []  # u of each copy jittered
+    parsed: dict[int, tuple] = {}  # id of each tree parsed -> (tree, its source's digest)
     real_build, real_jitter = corpus.build_graph, corpus._jitter_graph
+    real_parse = corpus.parse_source
 
-    def counting_build(tree, digest="0" * 32):
-        built.append(digest)
-        return real_build(tree, digest)
+    def recording_parse(source):
+        tree = real_parse(source)
+        parsed[id(tree)] = (tree, source_digest(source))
+        return tree
+
+    def counting_build(tree):
+        built.append(parsed[id(tree)][1])
+        return real_build(tree)
 
     def counting_jitter(graph, u):
         jittered.append(u)
         return real_jitter(graph, u)
 
+    monkeypatch.setattr(corpus, "parse_source", recording_parse)
     monkeypatch.setattr(corpus, "build_graph", counting_build)
     monkeypatch.setattr(corpus, "_jitter_graph", counting_jitter)
 
@@ -498,9 +517,9 @@ def test_graphs_are_built_only_where_a_stage_reads_them(monkeypatch):
     for sample, raw in zip(dataset.samples, samples, strict=True):
         if "parent" in raw:
             parent = samples[raw["parent"]]["source"]
-            direct = real_jitter(real_build(parse_source(parent), source_digest(parent)), raw["u"])
+            direct = real_jitter(real_build(parse_source(parent)), raw["u"])
         else:
-            direct = real_build(parse_source(raw["source"]), source_digest(raw["source"]))
+            direct = real_build(parse_source(raw["source"]))
         assert emit_graph_doc(sample.graph) == emit_graph_doc(direct)
         assert [[f.hex() for f in n.features] for n in sample.graph.nodes] == [
             [f.hex() for f in n.features] for n in direct.nodes
@@ -579,6 +598,39 @@ def test_train_gnn_rejects_bad_settings(pipeline, flag, value, message):
     assert code == 3, err
     assert out == ""
     assert message in err
+
+
+@pytest.mark.parametrize("seed", ["banana", True, None, 12])
+def test_exit_data_on_a_workspace_seed_that_is_not_its_manifests(pipeline, seed):
+    # the manifest's seed is 11; a workspace must carry the same integer
+    ws = json.loads(pipeline[2])
+    if seed is None:
+        del ws["seed"]
+    else:
+        ws["seed"] = seed
+    for argv in (["train", "--model", "dtree"], ["eval"]):
+        code, out, err = run_cli(argv, stdin_text=json.dumps(ws))
+        assert (code, out) == (3, "")
+        assert err == (
+            "refactorlab: data error: workspace seed must be an integer equal to"
+            " its manifest's seed\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["corpus", "build", "--target-minority", "0.5"],
+        ["corpus", "build", "--cap-percentile", "90"],
+        ["train", "--model", "dtree", "--max-depth", "3"],
+        ["train", "--model", "dtree", "--min-split", "2"],
+    ],
+)
+def test_exit_usage_on_a_removed_option(pipeline, argv):
+    # the class balance, the outlier cap and the tree's limits are fixed
+    code, out, err = run_cli(argv, stdin_text=pipeline[1])
+    assert (code, out) == (1, "")
+    assert err.startswith("refactorlab: usage error: unrecognized arguments")
 
 
 def test_train_checkpoint_out(tmp_path, pipeline):

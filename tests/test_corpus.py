@@ -45,7 +45,7 @@ from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.source import SourceUnit
 from refactorlab.synth import generate_units
 
-from conftest import PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC
+from conftest import PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, nested_list
 
 LABELED_SRC = (
     "def work(a):\n"
@@ -524,13 +524,6 @@ CHAIN_SRC = (
 )
 
 
-def _nested(depth: int) -> list:
-    value: list = []
-    for _ in range(depth):  # built in a loop: deeper than the recursion limit
-        value = [value]
-    return value
-
-
 @functools.cache
 def _tiny_manifest_json() -> str:
     kept, prov = ingest_units(generate_units(12, 3))
@@ -553,7 +546,7 @@ _POSERS = st.one_of(
     st.integers(min_value=-3, max_value=20),
     st.floats(),
     st.sampled_from([0.0, 1.0, 0.5, 10**6]),
-    st.sampled_from([2, 5000]).map(_nested),
+    st.sampled_from([2, 5000]).map(nested_list),
     st.sampled_from([[], {}, {"a": 1}]),
 )
 _SAMPLE_KEYS = ("source", "path", "flat", "label", "split_node", "parent", "neighbor", "u", "graph")
@@ -640,7 +633,7 @@ def test_manifest_with_a_3000_term_chain_loads_and_builds_its_graph():
     _mutate(doc, ("chain", 0))
     sample = dataset_from_doc(doc).samples[0]
     assert sample.source == CHAIN_SRC
-    direct = build_graph(parse_source(CHAIN_SRC), sample.graph.source_digest)
+    direct = build_graph(parse_source(CHAIN_SRC))
     assert emit_graph_doc(sample.graph) == emit_graph_doc(direct)
 
 

@@ -175,3 +175,14 @@ def test_checkpoint_rejects_corruption():
     corrupt(lambda d: d["params"].update(max_depth=None))
     corrupt(lambda d: d["params"].update(min_samples_split=True))
     corrupt(lambda d: d.update(params=[]))
+    # keys nobody reads are refused, and a leaf cannot also be a split
+    corrupt(lambda d: d.update(trained_on="corpus"))
+    corrupt(lambda d: d["params"].update(criterion="gini"))
+    corrupt(lambda d: d["nodes"][0].update(prob_refactor=0.5))
+    corrupt(lambda d: _first_leaf(d).update(feature_index=0, threshold=0.5, left=1, right=2))
+    corrupt(lambda d: _first_leaf(d).update(samples=4))
+    corrupt(lambda d: d["nodes"][0].update(samples=4))
+
+
+def _first_leaf(doc: dict) -> dict:
+    return next(node for node in doc["nodes"] if "prob_refactor" in node)

@@ -68,7 +68,7 @@ def permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
         key=lambda n: n.id,
     )
     edges = [EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind) for e in graph.edges]
-    return CodeGraph(nodes=nodes, edges=edges, source_digest=graph.source_digest)
+    return CodeGraph(nodes=nodes, edges=edges)
 
 
 # --- aggregation matrix -----------------------------------------------------------
@@ -115,7 +115,7 @@ def random_graph(rng: Rng) -> CodeGraph:
         kind = EDGE_KINDS[1 + rng.randrange(len(EDGE_KINDS) - 1)]
         edges.append(EdgeRecord(src=rng.randrange(n), dst=rng.randrange(n), kind=kind))
     rng.shuffle(edges)
-    return CodeGraph(nodes=nodes, edges=edges, source_digest="")
+    return CodeGraph(nodes=nodes, edges=edges)
 
 
 def test_aggregation_matrix_matches_reference_build_bit_for_bit():
@@ -518,6 +518,13 @@ def test_checkpoint_rejects_corruption():
     corrupt(lambda d: d["weights"].update(W9=[[1.0]]))
     # a version-1 checkpoint still carrying the dropped normalization flag
     corrupt(lambda d: d.update(version="1", config={**d["config"], "symmetric_norm": False}))
+    # numpy would read true as 1.0 and "0.5" as 0.5; keys nobody reads are refused
+    corrupt(lambda d: d["weights"]["W1"][0].__setitem__(0, True))
+    corrupt(lambda d: d["weights"]["bg"].__setitem__(0, False))
+    corrupt(lambda d: d["weights"]["W2"][1].__setitem__(2, "0.5"))
+    corrupt(lambda d: d["feature_mu"].__setitem__(0, False))
+    corrupt(lambda d: d["feature_sigma"].__setitem__(0, True))
+    corrupt(lambda d: d.update(trained_on="corpus"))
 
 
 def test_init_model_shapes_follow_config():
