@@ -502,6 +502,10 @@ def units_from_bundle(doc: dict) -> tuple[list[SourceUnit], int]:
         path, body = entry.get("path"), entry.get("body")
         if not isinstance(path, str) or not isinstance(body, str):
             raise SchemaError(f"units[{i}] path and body must be strings")
+        try:  # JSON escapes can spell a lone surrogate, which UTF-8 cannot hold
+            (path + body).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise SchemaError(f"units[{i}] path and body must be UTF-8 text") from exc
         units.append(SourceUnit.from_text(path, body))
     return units, seed
 

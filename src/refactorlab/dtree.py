@@ -62,13 +62,13 @@ class DTreeModel:
     n_features: int
 
     def depth(self) -> int:
-        def walk(idx: int) -> int:
-            node = self.nodes[idx]
-            if "prob_refactor" in node:
-                return 0
-            return 1 + max(walk(node["left"]), walk(node["right"]))
-
-        return walk(0)
+        # one pass in node order, as children lie past their parent: a
+        # recursive walk would overflow the stack on a loaded deep chain
+        depths = [0] * len(self.nodes)
+        for i, node in enumerate(self.nodes):
+            if "prob_refactor" not in node:
+                depths[node["left"]] = depths[node["right"]] = depths[i] + 1
+        return max(depths)
 
 
 def _best_split(X: np.ndarray, y: np.ndarray) -> tuple[float, int, float] | None:
@@ -189,6 +189,7 @@ def dtree_from_doc(doc: dict) -> DTreeModel:
     if not nodes:
         raise CheckpointError("checkpoint has no nodes")
     count = len(nodes)
+    parents = [0] * count
     for i, node in enumerate(nodes):
         is_leaf = isinstance(node, dict) and "prob_refactor" in node
         check_fields(node, _LEAF_KEYS if is_leaf else _INTERNAL_KEYS, f"node {i}", CheckpointError)
@@ -206,6 +207,11 @@ def dtree_from_doc(doc: dict) -> DTreeModel:
                 child = node[side]
                 if not is_int(child) or not i < child < count:
                     raise CheckpointError(f"node {i} {side} child {reprlib.repr(child)} invalid")
+                parents[child] += 1
         else:
             raise CheckpointError(f"node {i} is neither a leaf nor a complete internal node")
+    # with children past their parents, one parent each makes a tree rooted at node 0
+    for i in range(1, count):
+        if parents[i] != 1:
+            raise CheckpointError(f"node {i} is the child of {parents[i]} nodes, not of one")
     return DTreeModel(nodes=list(nodes), params=params, n_features=n_features)

@@ -30,14 +30,31 @@ full precision.  The forward and backward passes take their dtype from
 the aggregation matrix, and every layer, in training and inference and in
 ``gcn_layer_forward``, runs the one ``_layer``.
 
-A training step keeps only what its backward pass reads.  Per layer the
-forward cache holds the aggregated input S and the output H after ReLU and
-dropout, written in place, plus the dropout scale: H > 0 is exactly the
-kept-and-active mask, so the pre-activation and a float dropout mask are
-never stored, and the backward pass stops at layer 1's weights, since
-nothing reads the gradient of the input features.  Graph pooling is a
-product with a sparse matrix of ones, which sums each graph's rows in the
-same order alone or in any batch.
+Each pass holds only what its readers read.
+
+- **Who caches.**  A pass that a backward pass reads (a training step,
+  ``backward``, ``sample_loss`` and ``gradient_check``) caches, per layer,
+  the aggregated input S and the output H after ReLU and dropout, plus the
+  dropout scale.  H > 0 is exactly the kept-and-active mask, so the
+  pre-activation and a float dropout mask are never stored, and the
+  backward pass stops at layer 1's weights, since nothing reads the
+  gradient of the input features.
+- **Step buffers.**  Those passes write into a ``_PassBuffers``, and
+  ``train`` allocates one per call, with rows for the sum of the
+  ``batch_size`` largest node counts among its fit samples, so every batch
+  is a row prefix of it.  Each node-sized product and ufunc of a step
+  writes there with ``out=``, the sparse products through the CSR kernel
+  that scipy's ``A @ H`` calls (``_aggregate``), and the dropout draw fills
+  its float64 buffer, so a step reuses the same pages instead of mapping
+  fresh ones.
+- **Batched inference.**  ``forward``, ``predict_graphs`` and the
+  per-epoch validation pass cache nothing and hold one layer's arrays at a
+  time, and ``predict_graphs`` runs at most ``BATCH_SIZE`` graphs per
+  pass, so its memory does not grow with the number of graphs.
+
+Graph pooling is a product with a sparse matrix of ones, which sums each
+graph's rows in the same order alone or in any batch; no other operation
+mixes rows, so a graph gets the same floats in any batch or chunk.
 
 Every reduction runs in a fixed order, so a fixed seed reproduces training
 bit for bit for a fixed BLAS thread count: the number of BLAS threads
@@ -53,6 +70,7 @@ from typing import Sequence
 
 import numpy as np
 from scipy import sparse
+from scipy.sparse._sparsetools import csr_matvecs
 from scipy.special import expit
 
 from .errors import (
@@ -76,6 +94,8 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 # share of the train split held out to report validation accuracy
 VAL_FRACTION = 0.1
+# train()'s default batch size, and the most graphs one inference pass holds
+BATCH_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -102,7 +122,7 @@ class GcnConfig:
 class TrainConfig:
     learning_rate: float = 0.0005
     epochs: int = 75
-    batch_size: int = 128
+    batch_size: int = BATCH_SIZE
     seed: int = 42
 
     def __post_init__(self) -> None:
@@ -227,11 +247,37 @@ def _node_matrix(graph: CodeGraph, input_dim: int) -> np.ndarray:
 # --- layer and forward ------------------------------------------------------------
 
 
-def _layer(S: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _aggregate(A: sparse.csr_matrix, H: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """A @ H, written into ``out`` or a fresh array.
+
+    This calls the CSR kernel that scipy's own ``A @ H`` runs, into zeros,
+    on the same arrays, so the floats are the same bit for bit.  The kernel
+    casts operands of mixed dtypes to a common one and would then write
+    into a copy, so the dtypes must agree and ``out`` must be contiguous.
+    """
+    M, N = A.shape
+    out = np.empty((M, H.shape[1]), dtype=A.dtype) if out is None else out
+    if not (
+        A.dtype == H.dtype == out.dtype
+        and H.shape[0] == N
+        and out.shape == (M, H.shape[1])
+        and H.flags.c_contiguous
+        and out.flags.c_contiguous
+    ):
+        raise ValueError(
+            f"cannot aggregate {A.dtype} A{A.shape} over {H.dtype} H{H.shape}"
+            f" into {out.dtype} out{out.shape}"
+        )
+    out.fill(0.0)
+    csr_matvecs(M, N, H.shape[1], A.indptr, A.indices, A.data, H.ravel(), out.ravel())
+    return out
+
+
+def _layer(S: np.ndarray, W: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """ReLU(S @ W + b) for an aggregated input ``S``, in the dtype of its
-    operands: the one layer that training, inference and
-    ``gcn_layer_forward`` run."""
-    H = S @ W
+    operands, written into ``out`` or a fresh array: the one layer that
+    training, inference and ``gcn_layer_forward`` run."""
+    H = np.matmul(S, W, out=out)
     H += b
     np.maximum(H, 0.0, out=H)
     return H
@@ -261,26 +307,53 @@ def gcn_layer_forward(
     return _layer(neighbors @ H, W, b)
 
 
+class _PassBuffers:
+    """The arrays of a cached forward pass and its backward pass, for up to
+    ``rows`` stacked nodes: per layer the aggregated input S and the output
+    H, the float64 dropout draw, a bool mask, the gradient dH and one
+    scratch array.  A pass over n nodes writes the first n rows of each, a
+    C-contiguous prefix, so a batch of any size up to ``rows`` reuses them.
+    """
+
+    def __init__(self, config: GcnConfig, rows: int, dtype: np.dtype | type) -> None:
+        wide = (rows, config.units)
+        self.S = [np.empty((rows, config.input_dim), dtype)]
+        self.S += [np.empty(wide, dtype) for _ in range(config.layers - 1)]
+        self.H = [np.empty(wide, dtype) for _ in range(config.layers)]
+        self.draw = np.empty(wide, np.float64)  # Generator.random fills float64 only
+        self.mask = np.empty(wide, bool)
+        self.dH = np.empty(wide, dtype)
+        self.scratch = np.empty(wide, dtype)
+
+
 def _forward_full(
     model: GcnModel,
     X: np.ndarray,
     A: sparse.csr_matrix,
     counts: np.ndarray,
     nprng: np.random.Generator | None = None,
+    buffers: _PassBuffers | None = None,
 ) -> dict:
-    """Forward pass over a batch, caching what the backward pass reads.
+    """Forward pass over a batch; with ``buffers``, cache what the backward
+    pass reads.
 
     ``X`` and ``A`` stack the batch's graphs block-diagonally and
     ``counts`` gives each graph's node count.  Dropout is drawn from
-    ``nprng`` when one is given (training) and skipped otherwise.  The
-    pass runs in the dtype of ``A``: the input is standardized in float64
-    and then cast to it, and the model's weights are expected in it too.
+    ``nprng`` when one is given (training, which needs ``buffers``) and
+    skipped otherwise.  The pass runs in the dtype of ``A``: the input is
+    standardized in float64 and then cast to it, and the model's weights
+    and the buffers are expected in it too.
 
-    Per layer the cache holds the aggregated input ``S``, the output ``H``
-    after ReLU and dropout, and the dropout scale (None where no dropout
-    ran).  That is all the backward pass needs: ``H > 0`` holds exactly
-    where a unit was kept and its pre-activation was positive, so neither
-    the pre-activation nor a float mask is kept.
+    Without ``buffers`` each layer's arrays are fresh and dropped once the
+    next layer has read them, and the dict holds only the pooled and head
+    outputs.  With ``buffers`` each layer writes its rows of them, and the
+    dict also caches, per layer, the aggregated input ``S``, the output
+    ``H`` after ReLU and dropout and the dropout scale (None where no
+    dropout ran), plus the buffers for the backward pass to write into.
+    ``H > 0`` holds exactly where a unit was kept and its pre-activation
+    was positive, so neither the pre-activation nor a float mask is kept.
+    The draw fills the float64 draw buffer with the values that
+    ``nprng.random(shape)`` would return.
 
     Pooling is a product with a sparse B x n matrix of ones, one row per
     graph.  It adds each graph's rows left to right from 0.0, whatever
@@ -290,21 +363,29 @@ def _forward_full(
     cfg = model.config
     w = model.weights
     dtype = A.dtype
+    n = X.shape[0]
     H = ((np.log1p(X) - model.feature_mu) / model.feature_sigma).astype(dtype, copy=False)
-    cache: dict = {"A": A, "S": [], "H": [], "scale": []}
+    cache: dict = {} if buffers is None else {"A": A, "S": [], "H": [], "scale": [], "buffers": buffers}
     for layer in range(1, cfg.layers + 1):
-        S = A @ H
-        H = _layer(S, w[f"W{layer}"], w[f"b{layer}"])
+        W, b = w[f"W{layer}"], w[f"b{layer}"]
+        if buffers is None:
+            S = _aggregate(A, H)
+            H = _layer(S, W, b)
+        else:
+            S = _aggregate(A, H, buffers.S[layer - 1][:n])
+            H = _layer(S, W, b, buffers.H[layer - 1][:n])
         scale = None
         if nprng is not None and cfg.dropout > 0.0 and layer < cfg.layers:
+            keep = buffers.mask[:n]
+            np.greater_equal(nprng.random(out=buffers.draw[:n]), cfg.dropout, out=keep)
             # keep is 0 or 1, so (H * keep) * scale is the float H * (keep * scale)
-            H *= nprng.random(H.shape) >= cfg.dropout
+            H *= keep
             scale = 1.0 / (1.0 - cfg.dropout)
             H *= scale
-        cache["S"].append(S)
-        cache["H"].append(H)
-        cache["scale"].append(scale)
-    n = H.shape[0]
+        if buffers is not None:
+            cache["S"].append(S)
+            cache["H"].append(H)
+            cache["scale"].append(scale)
     ends = np.cumsum(counts)
     indptr = np.concatenate([[0], ends]).astype(np.int32)
     pool = sparse.csr_matrix(
@@ -331,16 +412,11 @@ def _batch_of_one(model: GcnModel, graph: CodeGraph, label: float = 0.0, split: 
     return _assemble_batch([_sample_tensors(graph, model.config, label, split)])
 
 
-def _forward_one(model: GcnModel, graph: CodeGraph) -> dict:
-    """Inference-mode forward cache of one graph: a batch of one."""
-    X, A, counts, _, _ = _batch_of_one(model, graph)
-    return _forward_full(model, X, A, counts)
-
-
 def forward(model: GcnModel, graph: CodeGraph) -> ForwardResult:
     """Inference-mode refactor probability and per-node split scores of one
     graph, from the same batched pass that ``predict_graphs`` runs."""
-    cache = _forward_one(model, graph)
+    X, A, counts, _, _ = _batch_of_one(model, graph)
+    cache = _forward_full(model, X, A, counts)
     return ForwardResult(
         graph_prob=float(cache["graph_probs"][0]),
         node_scores=cache["node_scores"].copy(),
@@ -382,6 +458,12 @@ def _backward_from_cache(
     labels: np.ndarray,
     split_labels: list[int | None],
 ) -> dict[str, np.ndarray]:
+    """Gradients of the batch loss for every parameter, from a cached pass.
+
+    The node-sized arrays are rows of the pass's buffers: dH, the mask and
+    the scratch array, each written with ``out=``.  Only the gradients
+    themselves, of parameter size, are fresh arrays.
+    """
     cfg = model.config
     w = model.weights
     counts = cache["counts"]
@@ -392,6 +474,8 @@ def _backward_from_cache(
     # operand would silently upcast each product after it
     dtype = H_final.dtype
     n_total = H_final.shape[0]
+    buffers = cache["buffers"]
+    dH, mask, scratch = (a[:n_total] for a in (buffers.dH, buffers.mask, buffers.scratch))
 
     dzg = (cache["graph_probs"] - labels.astype(dtype)) / B
     dmeans = np.outer(dzg, w["wg"])
@@ -399,7 +483,10 @@ def _backward_from_cache(
         "wg": cache["means"].T @ dzg,
         "bg": np.array([dzg.sum()]),
     }
-    dH = np.repeat(dmeans / counts[:, None].astype(dtype), counts, axis=0)
+    # each graph's rows repeat its row of the pooled gradient; mode "clip"
+    # writes straight into dH, where "raise" would go through a copy
+    graph_of_row = np.repeat(np.arange(B), counts)
+    np.take(dmeans / counts[:, None].astype(dtype), graph_of_row, axis=0, out=dH, mode="clip")
 
     dzn = np.zeros(n_total, dtype=dtype)
     for g, split in enumerate(split_labels):
@@ -412,19 +499,30 @@ def _backward_from_cache(
         dzn[lo : lo + n] = (cache["node_scores"][lo : lo + n] - target) / (n * B)
     grads["wn"] = H_final.T @ dzn
     grads["bn"] = np.array([dzn.sum()])
-    dH += np.outer(dzn, w["wn"])
+    dH += np.multiply(dzn[:, None], w["wn"], out=scratch)  # np.outer(dzn, wn)
 
     for layer in range(cfg.layers, 0, -1):
         scale = cache["scale"][layer - 1]
-        # H > 0 is the kept-and-active mask: the same bits as multiplying
-        # by the dropout mask and then by Z > 0, down to the signs of zeros
-        dZ = dH if scale is None else dH * scale
-        dZ *= cache["H"][layer - 1] > 0.0
-        grads[f"W{layer}"] = cache["S"][layer - 1].T @ dZ
-        grads[f"b{layer}"] = dZ.sum(axis=0)
+        # dH becomes dZ in place.  H > 0 is the kept-and-active mask: the
+        # same bits as multiplying by the dropout mask and then by Z > 0,
+        # down to the signs of zeros
+        if scale is not None:
+            dH *= scale
+        dH *= np.greater(cache["H"][layer - 1], 0.0, out=mask)
+        grads[f"W{layer}"] = cache["S"][layer - 1].T @ dH
+        grads[f"b{layer}"] = dH.sum(axis=0)
         if layer > 1:  # nothing reads the gradient of the input features
-            dH = cache["A"] @ (dZ @ w[f"W{layer}"].T)  # A is symmetric
+            # A is symmetric, so A.T @ (dZ @ W.T) is A @ (dZ @ W.T)
+            _aggregate(cache["A"], np.matmul(dH, w[f"W{layer}"].T, out=scratch), dH)
     return grads
+
+
+def _one_sample(model: GcnModel, graph: CodeGraph, label: int, split_label: int | None):
+    """A batch of one sample, and a function that runs its cached
+    inference-mode pass into buffers made once for it."""
+    X, A, counts, labels, splits = _batch_of_one(model, graph, float(label), split_label)
+    buffers = _PassBuffers(model.config, X.shape[0], A.dtype)
+    return (lambda: _forward_full(model, X, A, counts, buffers=buffers)), labels, splits
 
 
 def backward(
@@ -432,16 +530,16 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Inference-mode gradients of one sample's loss for every parameter,
     from the same batched pass that training runs."""
-    labels = np.array([float(label)])
-    return _backward_from_cache(model, _forward_one(model, graph), labels, [split_label])
+    run, labels, splits = _one_sample(model, graph, label, split_label)
+    return _backward_from_cache(model, run(), labels, splits)
 
 
 def sample_loss(
     model: GcnModel, graph: CodeGraph, label: int, split_label: int | None = None
 ) -> float:
     """Inference-mode loss of one sample."""
-    labels = np.array([float(label)])
-    return _loss_from_cache(_forward_one(model, graph), labels, [split_label])
+    run, labels, splits = _one_sample(model, graph, label, split_label)
+    return _loss_from_cache(run(), labels, splits)
 
 
 def gradient_check(
@@ -454,12 +552,12 @@ def gradient_check(
     """Max relative error between analytic and central-difference gradients
     of one sample's inference-mode loss (``backward`` and ``sample_loss``,
     with the sample's tensors built once)."""
-    X, A, counts, labels, splits = _batch_of_one(model, graph, float(label), split_label)
+    run, labels, splits = _one_sample(model, graph, label, split_label)
 
     def loss() -> float:
-        return _loss_from_cache(_forward_full(model, X, A, counts), labels, splits)
+        return _loss_from_cache(run(), labels, splits)
 
-    analytic = _backward_from_cache(model, _forward_full(model, X, A, counts), labels, splits)
+    analytic = _backward_from_cache(model, run(), labels, splits)
     worst = 0.0
     for name in model.param_names():
         param = model.weights[name]
@@ -575,10 +673,14 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         return replace(model, weights={k: v.astype(step_dtype) for k, v in model.weights.items()})
 
     nprng = np.random.default_rng(rng.next_u64())
+    # every batch is a row prefix of buffers that fit the largest one possible
+    sizes = sorted((tensors[i].X.shape[0] for i in fit_idx), reverse=True)
+    buffers = _PassBuffers(cfg, sum(sizes[: config.batch_size]), step_dtype)
 
     adam_m = {k: np.zeros_like(v) for k, v in model.weights.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.weights.items()}
     t_step = 0
+    val_batch = _assemble_batch([tensors[i] for i in val_idx]) if val_idx else None
     history = TrainHistory()
 
     for _epoch in range(config.epochs):
@@ -590,7 +692,7 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
             batch = [tensors[i] for i in order[lo : lo + config.batch_size]]
             X, A, counts, labels, splits = _assemble_batch(batch)
             step = step_model()
-            cache = _forward_full(step, X, A, counts, nprng)
+            cache = _forward_full(step, X, A, counts, nprng, buffers)
             losses.append(_loss_from_cache(cache, labels, splits))
             correct += int(((cache["graph_probs"] > 0.5) == (labels > 0.5)).sum())
             grads = _backward_from_cache(step, cache, labels, splits)
@@ -606,9 +708,8 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
                     np.sqrt(adam_v[name]) + ADAM_EPS
                 )
         val_acc: float | None = None
-        if val_idx:
-            vt = [tensors[i] for i in val_idx]
-            X, A, counts, labels, _ = _assemble_batch(vt)
+        if val_batch is not None:
+            X, A, counts, labels, _ = val_batch
             cache = _forward_full(step_model(), X, A, counts)
             val_acc = _accuracy(cache["graph_probs"], labels)
         history.epochs.append(
@@ -622,15 +723,18 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
 
 
 def predict_graphs(model: GcnModel, graphs: Sequence[CodeGraph]) -> np.ndarray:
-    """Inference-mode refactor probabilities for a batch of graphs."""
-    if not graphs:
-        return np.zeros(0, dtype=np.float64)
-    tensors = [
-        _sample_tensors(g, model.config, 0.0, None) for g in graphs
-    ]
-    X, A, counts, _, _ = _assemble_batch(tensors)
-    cache = _forward_full(model, X, A, counts)
-    return cache["graph_probs"].copy()
+    """Inference-mode refactor probabilities for a sequence of graphs.
+
+    The graphs run ``BATCH_SIZE`` at a time, each chunk's tensors built
+    just before its pass, so memory does not grow with their number.  A
+    graph scores the same floats in any chunk (see ``_forward_full``).
+    """
+    probs = [np.zeros(0, dtype=np.float64)]
+    for lo in range(0, len(graphs), BATCH_SIZE):
+        tensors = [_sample_tensors(g, model.config, 0.0, None) for g in graphs[lo : lo + BATCH_SIZE]]
+        X, A, counts, _, _ = _assemble_batch(tensors)
+        probs.append(_forward_full(model, X, A, counts)["graph_probs"])
+    return np.concatenate(probs)
 
 
 # --- split suggestion --------------------------------------------------------------------

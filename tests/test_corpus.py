@@ -393,6 +393,8 @@ def test_bundle_rejects_malformed_documents():
     corrupt(lambda d: d.update(units={}))
     corrupt(lambda d: d["units"][0].update(digest="x"))
     corrupt(lambda d: d["units"][0].update(body=42))
+    corrupt(lambda d: d["units"][0].update(body=PLAIN_SRC + "\ud800"))
+    corrupt(lambda d: d["units"][0].update(path="a\udfff.mpy"))
 
 
 def test_manifest_round_trip(small_dataset):

@@ -182,6 +182,22 @@ def test_checkpoint_rejects_corruption():
     corrupt(lambda d: _first_leaf(d).update(feature_index=0, threshold=0.5, left=1, right=2))
     corrupt(lambda d: _first_leaf(d).update(samples=4))
     corrupt(lambda d: d["nodes"][0].update(samples=4))
+    # children past their parents are not enough: a shared child, an unreachable node
+    split, leaf = {"feature_index": 0, "threshold": 2.5}, {"prob_refactor": 0.5}
+    shared = [{**split, "left": 1, "right": 2}] + 2 * [{**split, "left": 3, "right": 4}] + 2 * [leaf]
+    corrupt(lambda d: d.update(nodes=shared))
+    corrupt(lambda d: d["nodes"].append(leaf))
+
+
+def test_depth_of_a_loaded_5000_node_chain():
+    # internal nodes 0, 2, 4, ... each hold a leaf on the left and the next one on the right
+    nodes = []
+    for i in range(0, 4998, 2):
+        nodes.append({"feature_index": 0, "threshold": 0.5, "left": i + 1, "right": i + 2})
+        nodes.append({"prob_refactor": 0.0})
+    nodes.append({"prob_refactor": 1.0})
+    model = DTreeModel(nodes=nodes, params=DTreeParams(), n_features=1)
+    assert dtree_from_doc(dtree_to_doc(model)).depth() == 2499
 
 
 def _first_leaf(doc: dict) -> dict:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 
@@ -18,11 +19,13 @@ from refactorlab.gcn import (
     ADAM_EPS,
     GcnConfig,
     TrainConfig,
+    _aggregate,
     _assemble_batch,
     _backward_from_cache,
     _bce_logits,
     _forward_full,
     _loss_from_cache,
+    _PassBuffers,
     _sample_tensors,
     aggregation_matrix,
     backward,
@@ -130,6 +133,25 @@ def test_aggregation_matrix_matches_reference_build_bit_for_bit():
         assert got.data.tobytes() == want.data.tobytes(), case
 
 
+def test_aggregate_kernel_equals_the_sparse_product_bit_for_bit():
+    # the helper calls the kernel behind scipy's A @ H; it must zero the
+    # rows it writes, whatever they held, and give the very same floats
+    rng = Rng(1804)
+    nprng = np.random.default_rng(1804)
+    for case in range(150):
+        graph = random_graph(rng)
+        width = 1 + rng.randrange(9)
+        for dtype in (np.float32, np.float64):
+            A = aggregation_matrix(graph).astype(dtype)
+            H = nprng.normal(size=(A.shape[0], width)).astype(dtype)
+            want = (A @ H).tobytes()
+            out = np.full((A.shape[0] + 3, width), np.nan, dtype=dtype)
+            assert _aggregate(A, H, out[: A.shape[0]]).tobytes() == want, (case, dtype)
+            assert _aggregate(A, H).tobytes() == want, (case, dtype)
+    with pytest.raises(ValueError):  # the kernel would upcast into a copy
+        _aggregate(A.astype(np.float32), H.astype(np.float64), np.zeros(H.shape))
+
+
 # --- layer forward vs straight-line oracle --------------------------------------------
 
 
@@ -224,9 +246,10 @@ def test_training_mode_gradient_check_with_fixed_dropout():
         for i, g in enumerate(graphs)
     ]
     X, A, counts, labels, splits = _assemble_batch(tensors)
+    buffers = _PassBuffers(model.config, X.shape[0], A.dtype)
 
     def cache():
-        return _forward_full(model, X, A, counts, np.random.default_rng(77))
+        return _forward_full(model, X, A, counts, np.random.default_rng(77), buffers)
 
     analytic = _backward_from_cache(model, cache(), labels, splits)
     dropped = sum(int(np.count_nonzero(H == 0.0)) for H in cache()["H"][:-1])
@@ -260,7 +283,8 @@ def test_float32_gradients_match_float64():
     single = replace(model, weights={k: v.astype(np.float32) for k, v in model.weights.items()})
     grads = {}
     for m, a in ((model, A), (single, A.astype(np.float32))):
-        cache = _forward_full(m, X, a, counts, np.random.default_rng(77))
+        buffers = _PassBuffers(model.config, X.shape[0], a.dtype)
+        cache = _forward_full(m, X, a, counts, np.random.default_rng(77), buffers)
         grads[a.dtype] = _backward_from_cache(m, cache, labels, splits)
     wide, narrow = grads[np.dtype(np.float64)], grads[np.dtype(np.float32)]
     for name in model.param_names():
@@ -269,11 +293,47 @@ def test_float32_gradients_match_float64():
         assert err <= 1e-3, f"{name}: relative error {err}"
 
 
+def featured_graph(rng: Rng) -> CodeGraph:
+    """``random_graph`` with random non-negative node features."""
+    graph = random_graph(rng)
+    for node in graph.nodes:
+        node.features = [rng.random() * 8.0 for _ in node.features]
+    return graph
+
+
+def test_a_step_in_reused_buffers_matches_one_in_fresh_buffers():
+    # a small batch after a large one writes a shorter prefix of the same
+    # buffers: a stale or unzeroed row would change its loss or gradients
+    cfg = GcnConfig(layers=3, units=8, dropout=0.4)
+    model = init_model(31, cfg)
+    step = replace(model, weights={k: v.astype(np.float32) for k, v in model.weights.items()})
+    rng = Rng(31)
+    graphs = [featured_graph(rng) for _ in range(15)]
+
+    def batch(chunk):
+        tensors = [_sample_tensors(g, cfg, float(i % 2), i % len(g.nodes)) for i, g in enumerate(chunk)]
+        X, A, counts, labels, splits = _assemble_batch(tensors)
+        return X, A.astype(np.float32), counts, labels, splits
+
+    def run(buffers, X, A, counts, labels, splits):
+        cache = _forward_full(step, X, A, counts, np.random.default_rng(5), buffers)
+        loss = _loss_from_cache(cache, labels, splits)
+        grads = _backward_from_cache(step, cache, labels, splits)
+        return [loss.hex()] + [float(x).hex() for k in sorted(grads) for x in grads[k].ravel()]
+
+    big, small = batch(graphs[:12]), batch(graphs[12:])
+    assert small[0].shape[0] < big[0].shape[0]
+    reused = _PassBuffers(cfg, big[0].shape[0], np.float32)
+    run(reused, *big)
+    fresh = run(_PassBuffers(cfg, small[0].shape[0], np.float32), *small)
+    assert run(reused, *small) == fresh
+
+
 def test_pooling_sums_each_graph_left_to_right():
     model = init_model(8, SMALL_CFG)
     graphs = [tiny_graph(), build_graph(parse_source(SPLITTABLE_SRC)), tiny_graph()]
     X, A, counts, _, _ = _assemble_batch([_sample_tensors(g, SMALL_CFG, 0.0, None) for g in graphs])
-    cache = _forward_full(model, X, A, counts)
+    cache = _forward_full(model, X, A, counts, buffers=_PassBuffers(SMALL_CFG, X.shape[0], A.dtype))
     H = cache["H"][-1]
     for g, (lo, n) in enumerate(zip(cache["starts"], counts)):
         rows = H[lo : lo + n]
@@ -411,9 +471,11 @@ def test_train_steps_in_float32_over_float64_master_weights(small_dataset, monke
     forward_calls, step_grads = [], []
     real_forward, real_backward = gcn._forward_full, gcn._backward_from_cache
 
-    def spy_forward(step, X, A, counts, nprng=None):
-        cache = real_forward(step, X, A, counts, nprng)
-        arrays = [*cache["S"], *cache["H"], cache["means"], cache["graph_probs"], cache["node_scores"]]
+    def spy_forward(step, X, A, counts, nprng=None, buffers=None):
+        cache = real_forward(step, X, A, counts, nprng, buffers)
+        # the validation pass caches no layers
+        layers = [*cache.get("S", []), *cache.get("H", [])]
+        arrays = [*layers, cache["means"], cache["graph_probs"], cache["node_scores"]]
         forward_calls.append(
             (
                 {a.dtype for a in arrays} | {w.dtype for w in step.weights.values()},
@@ -464,6 +526,33 @@ def test_predict_graphs_matches_forward(small_dataset):
     assert np.allclose(batch, single, atol=1e-12)
     # a batch of one runs the very same arithmetic as forward
     assert all(predict_graphs(model, [g])[0] == p for g, p in zip(graphs, single))
+
+
+def test_predict_graphs_gives_the_same_floats_in_any_chunking():
+    # 300 graphs run in chunks of 128 from 0, 100 and 228 from 100
+    model = init_model(43, GcnConfig(units=16))
+    rng = Rng(43)
+    graphs = [featured_graph(rng) for _ in range(300)]
+    whole = predict_graphs(model, graphs)
+    parts = np.concatenate([predict_graphs(model, graphs[:100]), predict_graphs(model, graphs[100:])])
+    assert whole.tobytes() == parts.tobytes()
+    assert predict_graphs(model, []).shape == (0,)
+
+
+def test_predict_graphs_memory_does_not_grow_with_the_graph_count():
+    model = init_model(44, GcnConfig(units=32))
+    rng = Rng(44)
+    graphs = [featured_graph(rng) for _ in range(600)]
+
+    def peak(chunk) -> int:
+        tracemalloc.start()
+        try:
+            predict_graphs(model, chunk)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(graphs) <= 1.5 * peak(graphs[:128])
 
 
 # --- checkpoints ------------------------------------------------------------------------
