@@ -42,7 +42,7 @@ graph = build_graph(tree)
 # --- gradients agree with finite differences --------------------------------
 
 probe = init_model(seed=0, config=GcnConfig(layers=4, units=8, dropout=0.0))
-err = gradient_check(probe, graph, label=1, split_label=graph.nodes[-3].id)
+err = gradient_check(probe, graph, label=1, split_label=len(graph) - 3)
 print(f"max relative gradient error vs central differences: {err:.2e}")
 
 # --- a short training run -----------------------------------------------------

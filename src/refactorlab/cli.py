@@ -23,11 +23,16 @@ invariant violation.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import functools
 import json
 import sys
 import traceback
+from collections import Counter
 from pathlib import Path
 from typing import Final, Sequence
+
+import numpy as np
 
 from .corpus import (
     DEFAULT_TEST_FRACTION,
@@ -86,6 +91,11 @@ DEFAULT_SEED: Final = 42
 WORKSPACE_VERSION: Final = "1"
 
 PROG: Final = "refactorlab"
+
+# numpy's wheels bundle OpenBLAS, with its symbols renamed, as
+# numpy.libs/libscipy_openblas64_*.so beside the numpy package
+BLAS_LIBRARY_GLOB: Final = "libscipy_openblas64_*.so"
+BLAS_THREAD_SETTER: Final = "scipy_openblas_set_num_threads64_"
 
 
 class _UsageError(Exception):
@@ -246,12 +256,9 @@ def _cmd_graph(args: argparse.Namespace) -> int:
     tree = _parse_file(args.file)
     graph = build_graph(tree)
     if args.format == "text":
-        kinds: dict[str, int] = {}
-        for node in graph.nodes:
-            kinds[node.kind] = kinds.get(node.kind, 0) + 1
-        summary = " ".join(f"{k}={v}" for k, v in sorted(kinds.items()))
+        summary = " ".join(f"{k}={v}" for k, v in sorted(Counter(graph.nodes).items()))
         _emit(
-            f"path: {args.file}\nnodes: {len(graph.nodes)}\nedges: {len(graph.edges)}\n"
+            f"path: {args.file}\nnodes: {len(graph.nodes)}\nedges: {len(graph.src)}\n"
             f"kinds: {summary}\n",
             args.out,
         )
@@ -556,7 +563,29 @@ def run(argv: Sequence[str]) -> int:
     return args.func(args)
 
 
+@functools.cache
+def _blas_thread_setter():
+    """numpy's OpenBLAS thread setter, found by name in the ``numpy.libs``
+    directory beside the numpy package, or None after one stderr line.
+    numpy has loaded that library already, so ``ctypes.CDLL`` returns it."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob(BLAS_LIBRARY_GLOB)):
+        try:
+            setter = getattr(ctypes.CDLL(str(path)), BLAS_THREAD_SETTER)
+        except (OSError, AttributeError):
+            continue
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        return setter
+    print(f"{PROG}: warning: no {BLAS_THREAD_SETTER} in {libs}; BLAS threads not pinned", file=sys.stderr)
+    return None
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command, with numpy's BLAS pinned to one thread first: the
+    thread count changes how matrix products round, and so the outputs."""
+    setter = _blas_thread_setter()
+    if setter is not None:
+        setter(1)
     try:
         return run(sys.argv[1:] if argv is None else argv)
     except _UsageError as exc:

@@ -38,7 +38,7 @@ from .errors import (
     is_int,
     is_number,
 )
-from .graph import NODE_TYPE_INDEX, CodeGraph, NodeRecord, build_graph
+from .graph import NODE_TYPE_INDEX, CodeGraph, build_graph
 from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, flat_features
 from .minipy.nodes import AstNode, AstTree, count_decisions
 from .minipy.parser import parse_source
@@ -294,17 +294,13 @@ def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
     """Copy of ``graph`` with continuous node features scaled by (1 + s*u).
 
     Structure and the discrete type_index column are untouched, so the
-    copy stays a valid attributed graph for the same shape.  Every node
-    record and feature list is new; the copy shares the edge list, whose
-    records are immutable (src, dst, kind) triples.
+    copy stays a valid attributed graph for the same shape.  Only ``x`` is
+    new; the copy shares every other field with ``graph``, all of them
+    read-only or never written.
     """
-    factor = 1.0 + JITTER_SCALE * u
-    nodes = []
-    for node in graph.nodes:
-        feats = [f * factor for f in node.features]
-        feats[NODE_TYPE_INDEX] = node.features[NODE_TYPE_INDEX]
-        nodes.append(NodeRecord(id=node.id, kind=node.kind, features=feats))
-    return replace(graph, nodes=nodes)
+    x = graph.x * (1.0 + JITTER_SCALE * u)
+    x[:, NODE_TYPE_INDEX] = graph.x[:, NODE_TYPE_INDEX]
+    return replace(graph, x=x)
 
 
 def smote_copy(

@@ -16,7 +16,8 @@ a split-point candidate.
 Inputs are passed through log1p and then standardized per feature (mean
 and deviation fitted on the training nodes, frozen into the checkpoint)
 so count-like features (lines, subtree sizes) do not swamp the sum
-aggregation and small-range features stay visible to the optimizer.
+aggregation and small-range features stay visible to the optimizer.  A
+sample's input rows are its graph's read-only ``x`` itself, not a copy.
 
 A training step runs in float32 and everything else in float64.  Each
 step casts the float64 master weights to a float32 copy, runs forward and
@@ -59,6 +60,8 @@ mixes rows, so a graph gets the same floats in any batch or chunk.
 Every reduction runs in a fixed order, so a fixed seed reproduces training
 bit for bit for a fixed BLAS thread count: the number of BLAS threads
 changes how matrix products round, and with it the trained weights.
+``cli.main`` pins numpy's OpenBLAS to one thread, so the CLI's outputs do
+not depend on ``OPENBLAS_NUM_THREADS``; a direct caller must pin it too.
 """
 
 from __future__ import annotations
@@ -215,18 +218,12 @@ def aggregation_matrix(graph: CodeGraph) -> sparse.csr_matrix:
     The matrix is canonical CSR (sorted indices, no duplicates), so a
     product with it sums each row's terms in column order.
     """
-    n = len(graph.nodes)
-    m = len(graph.edges)
-    ends = np.fromiter(
-        (v for e in graph.edges for v in (e.dst, e.src)), dtype=np.int64, count=2 * m
-    ).reshape(m, 2)
-    strength = np.fromiter(
-        (row[EDGE_STRENGTH] for row in edge_features(graph)), dtype=np.float64, count=m
-    )
+    n = len(graph)
+    strength = np.array([row[EDGE_STRENGTH] for row in edge_features(graph)], dtype=np.float64)
     diag = np.arange(n, dtype=np.int64)
     # per edge the (dst, src) entry, then the (src, dst) one; self-loops last
-    rows = np.concatenate([ends.reshape(-1), diag])
-    cols = np.concatenate([ends[:, ::-1].reshape(-1), diag])
+    rows = np.concatenate([np.column_stack([graph.dst, graph.src]).reshape(-1), diag])
+    cols = np.concatenate([np.column_stack([graph.src, graph.dst]).reshape(-1), diag])
     weights = np.concatenate([np.repeat(strength, 2), np.ones(n)])
     keys, slot = np.unique(rows * n + cols, return_inverse=True)
     data = np.bincount(slot, weights)
@@ -236,7 +233,8 @@ def aggregation_matrix(graph: CodeGraph) -> sparse.csr_matrix:
 
 
 def _node_matrix(graph: CodeGraph, input_dim: int) -> np.ndarray:
-    X = np.array([n.features for n in graph.nodes], dtype=np.float64)
+    """The graph's own read-only feature matrix, once its width is checked."""
+    X = graph.x
     if X.ndim != 2 or X.shape[1] != input_dim:
         raise DimensionMismatchError(
             f"node features must be {input_dim}-dim, got shape {X.shape}"

@@ -10,21 +10,25 @@ A code graph keeps every AST node and adds five edge kinds:
   reads the assigned name (one edge per assign/reader pair).  This is not
   last-write: an assign links to readers past a later reassignment too.
 
-Nodes carry 12 features, documented next to their layout constants
-below.  An edge is only (src, dst, kind): its 6 features are functions of
-those three and the Parent tree, so ``edge_features`` derives them when
-asked and no edge stores them.  A graph is a pure function of its tree,
-so nothing reads graphs back: ``emit_graph_doc`` writes the versioned
-output document of the ``graph`` command, which adds each edge's derived
-features.
+A graph is arrays, as in PyTorch Geometric's ``Data(x, edge_index)``: an
+n x 12 float64 node-feature matrix ``x`` (its columns are documented next
+to their layout constants below) and each edge's ``src``, ``dst`` and
+``kind``, all read-only.  Its Parent links are its tree's own ``parent``
+and ``depths`` lists.  An edge's 6 features are functions of (src, dst,
+kind) and the Parent tree, so ``edge_features`` derives them when asked.
+A graph is a pure function of its tree, so nothing reads graphs back:
+``emit_graph_doc`` writes the versioned output document of the ``graph``
+command, which adds each edge's derived features.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from typing import Iterator
 
-from .errors import SchemaError
+import numpy as np
+
 from .minipy.nodes import AstNode, AstTree, KIND_INDEX, expr_reads
 
 EDGE_KINDS: tuple[str, ...] = (
@@ -71,30 +75,34 @@ NODE_TYPE_INDEX = NODE_FEATURE_NAMES.index("type_index_scaled")
 NODE_SUBTREE_CC = NODE_FEATURE_NAMES.index("subtree_cyclomatic")
 EDGE_STRENGTH = EDGE_FEATURE_NAMES.index("strength")
 
-_FLOW_KINDS = frozenset({"Parent", "NextSibling", "ControlFlow"})
+FLOW_KINDS = frozenset(EDGE_KIND_INDEX[k] for k in ("Parent", "NextSibling", "ControlFlow"))
 
 
-@dataclass
-class NodeRecord:
-    id: int
-    kind: str
-    features: list[float]
-
-
-@dataclass(frozen=True)
-class EdgeRecord:
-    src: int
-    dst: int
-    kind: str
-
-
-@dataclass
+@dataclass(eq=False)
 class CodeGraph:
-    nodes: list[NodeRecord]
-    edges: list[EdgeRecord]
+    """Node kinds and feature rows by id, edges as ``EDGE_KINDS`` indices,
+    and the tree's ``parent`` (None at the root) and ``depth`` lists.  The
+    arrays are made read-only, so an in-place write raises instead of
+    changing a cached graph or a ``dataclasses.replace`` copy sharing them."""
+
+    nodes: list[str]
+    x: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    kind: np.ndarray
+    parent: list[int | None]
+    depth: list[int]
+
+    def __post_init__(self) -> None:
+        for array in (self.x, self.src, self.dst, self.kind):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.nodes)
+
+    def edges(self) -> Iterator[tuple[int, int, int]]:
+        """Each edge's (src, dst, kind index) as Python ints, in edge order."""
+        return zip(self.src.tolist(), self.dst.tolist(), self.kind.tolist())
 
 
 # --- structural edge extraction ------------------------------------------------
@@ -152,23 +160,17 @@ def structural_edges(tree: AstTree) -> list[tuple[int, int, str]]:
 # --- node features ----------------------------------------------------------------
 
 
-def _node_feature_table(
-    tree: AstTree, edges: list[tuple[int, int, str]]
-) -> list[list[float]]:
+def _node_features(tree: AstTree, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """The n x 12 feature matrix, built column by column (``NODE_FEATURE_NAMES``)."""
     n = len(tree)
-    in_deg = [0] * n
-    out_deg = [0] * n
-    for src, dst, _ in edges:
-        out_deg[src] += 1
-        in_deg[dst] += 1
     # one bottom-up pass: preorder puts every child after its parent, so in
     # reverse order each node's children are complete when it is reached
     size = [1] * n
     loops = [0] * n
     imports = [0] * n
     decisions = [0] * n
+    variables = [0] * n
     names: list[set[str] | None] = [None] * n
-    table: list[list[float]] = []  # filled in reverse id order
     for node in reversed(tree.nodes):
         i = node.id
         own: set[str] = set()
@@ -194,24 +196,25 @@ def _node_feature_table(
         if node.kind == "Import":
             imports[i] += 1
         names[i] = own
-        table.append(
-            [
-                float(node.span[1] - node.span[0] + 1),
-                float(tree.depths[i]),
-                KIND_INDEX[node.kind] / 10.0,
-                float(tree.scope_depths[i]),
-                float(len(own)),
-                float(in_deg[i]),
-                float(out_deg[i]),
-                float(loops[i]),
-                float(imports[i]),
-                float(1 + decisions[i]),
-                float(len(node.children)),
-                float(size[i]),
-            ]
-        )
-    table.reverse()
-    return table
+        variables[i] = len(own)  # now: a parent may merge into this set
+    # every column holds small integers but the kind index, so the float64
+    # cast is exact
+    return np.column_stack(
+        [
+            [node.span[1] - node.span[0] + 1 for node in tree.nodes],
+            tree.depths,
+            [KIND_INDEX[node.kind] / 10.0 for node in tree.nodes],
+            tree.scope_depths,
+            variables,
+            np.bincount(dst, minlength=n),
+            np.bincount(src, minlength=n),
+            loops,
+            imports,
+            [1 + d for d in decisions],
+            [len(node.children) for node in tree.nodes],
+            size,
+        ]
+    ).astype(np.float64, copy=False)
 
 
 # --- graph construction -----------------------------------------------------------
@@ -225,50 +228,20 @@ def build_graph(tree: AstTree) -> CodeGraph:
     the output is deterministic for a given tree.
     """
     triples = structural_edges(tree)
-    features = _node_feature_table(tree, triples)
-    nodes = [
-        NodeRecord(id=node.id, kind=node.kind, features=features[node.id])
-        for node in tree.nodes
-    ]
-    edges = [EdgeRecord(src=s, dst=d, kind=k) for s, d, k in triples]
-    return CodeGraph(nodes=nodes, edges=edges)
+    src, dst, kinds = zip(*triples) if triples else ((), (), ())
+    src, dst = np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64)
+    return CodeGraph(
+        nodes=[node.kind for node in tree.nodes],
+        x=_node_features(tree, src, dst),
+        src=src,
+        dst=dst,
+        kind=np.array([EDGE_KIND_INDEX[k] for k in kinds], dtype=np.int8),
+        parent=tree.parent,
+        depth=tree.depths,
+    )
 
 
-# --- the Parent tree and edge features ---------------------------------------------
-
-
-def parent_tree(graph: CodeGraph) -> tuple[list[int | None], list[int]]:
-    """Each node's Parent-edge source (None at the root) and its depth.
-
-    SchemaError unless the Parent edges form one tree over all nodes: no
-    node with two Parent edges, exactly one root, no cycle.
-    """
-    n = len(graph.nodes)
-    parent: list[int | None] = [None] * n
-    for e in graph.edges:
-        if e.kind != "Parent":
-            continue
-        if parent[e.dst] is not None:
-            raise SchemaError(f"node {e.dst} has two Parent edges")
-        parent[e.dst] = e.src
-    roots = parent.count(None)
-    if roots != 1:
-        raise SchemaError(f"Parent edges must leave exactly one root, found {roots}")
-    depth = [-1] * n  # -1 not yet known, -2 on the path being climbed
-    for start in range(n):
-        path = []
-        v = start
-        while v is not None and depth[v] < 0:
-            if depth[v] == -2:
-                raise SchemaError("Parent edges contain a cycle")
-            depth[v] = -2
-            path.append(v)
-            v = parent[v]
-        d = -1 if v is None else depth[v]
-        for u in reversed(path):
-            d += 1
-            depth[u] = d
-    return parent, depth
+# --- edge features -----------------------------------------------------------------
 
 
 def edge_features(graph: CodeGraph) -> list[list[float]]:
@@ -278,10 +251,10 @@ def edge_features(graph: CodeGraph) -> list[list[float]]:
     ancestor in the graph's Parent tree: the deeper end first, then both
     ends together until they meet.
     """
-    parent, depth = parent_tree(graph)
+    parent, depth = graph.parent, graph.depth
     rows: list[list[float]] = []
-    for e in graph.edges:
-        a, b = e.src, e.dst
+    for src, dst, kind in graph.edges():
+        a, b = src, dst
         distance = 0
         while depth[a] > depth[b]:
             a = parent[a]
@@ -294,11 +267,11 @@ def edge_features(graph: CodeGraph) -> list[list[float]]:
             distance += 2
         rows.append(
             [
-                EDGE_KIND_INDEX[e.kind] / 5.0,
+                kind / 5.0,
                 float(distance),
                 1.0,
-                1.0 if e.kind in _FLOW_KINDS else 0.0,
-                1.0 if e.src < e.dst else 0.0,
+                1.0 if kind in FLOW_KINDS else 0.0,
+                1.0 if src < dst else 0.0,
                 1.0 / (1.0 + distance),
             ]
         )
@@ -319,7 +292,8 @@ def emit_graph_doc(graph: CodeGraph) -> dict:
     return {
         "version": GRAPH_DOC_VERSION,
         "nodes": [
-            {"id": n.id, "kind": n.kind, "features": list(n.features)} for n in graph.nodes
+            {"id": i, "kind": kind, "features": row}
+            for i, (kind, row) in enumerate(zip(graph.nodes, graph.x.tolist()))
         ],
-        "edges": [{"src": e.src, "dst": e.dst, "kind": e.kind} for e in graph.edges],
+        "edges": [{"src": s, "dst": d, "kind": EDGE_KINDS[k]} for s, d, k in graph.edges()],
     }

@@ -103,13 +103,11 @@ def classify_rules_graph(graph: CodeGraph, flat: FlatFeatures) -> int:
     agrees with ``classify_rules`` exactly; it also covers synthetic
     oversampled samples that have no source text.
     """
-    for node in graph.nodes:
-        if node.kind != "FunctionDef":
-            continue
-        if node.features[NODE_LINES] > LONG_METHOD_LINES:
-            return 1
-        if node.features[NODE_SUBTREE_CC] > HIGH_COMPLEXITY_CC:
-            return 1
+    fns = graph.x[[kind == "FunctionDef" for kind in graph.nodes]]
+    if (fns[:, NODE_LINES] > LONG_METHOD_LINES).any():
+        return 1
+    if (fns[:, NODE_SUBTREE_CC] > HIGH_COMPLEXITY_CC).any():
+        return 1
     if flat.values[FLAT_COUPLING] > HIGH_COUPLING_DEPS:
         return 1
     return 0

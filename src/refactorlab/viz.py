@@ -17,11 +17,9 @@ from __future__ import annotations
 
 import html
 
-from .graph import CodeGraph, EdgeRecord, parent_tree
+from .graph import FLOW_KINDS, CodeGraph
 from .metrics import coupling, cyclomatic
 from .minipy.nodes import AstTree
-
-_CONTROL_EDGES = frozenset({"Parent", "NextSibling", "ControlFlow"})
 
 # a function is hot above this cyclomatic complexity, cool below this coupling
 RED_COMPLEXITY_THRESHOLD = 12.0
@@ -49,8 +47,8 @@ def _node_color(kind: str, node_id: int, metrics: dict[int, dict[str, float]]) -
     return "gray"
 
 
-def _edge_color(edge: EdgeRecord) -> str:
-    return "blue" if edge.kind in _CONTROL_EDGES else "purple"
+def _edge_color(kind: int) -> str:
+    return "blue" if kind in FLOW_KINDS else "purple"
 
 
 def to_dot(graph: CodeGraph, metrics: dict[int, dict[str, float]]) -> str:
@@ -60,14 +58,14 @@ def to_dot(graph: CodeGraph, metrics: dict[int, dict[str, float]]) -> str:
     values, as ``function_render_metrics`` gives them.
     """
     lines = ["digraph code {", "  rankdir=TB;"]
-    for node in graph.nodes:
-        color = _node_color(node.kind, node.id, metrics)
+    for node_id, kind in enumerate(graph.nodes):
+        color = _node_color(kind, node_id, metrics)
         lines.append(
-            f'  n{node.id} [label="{node.kind}#{node.id}", style=filled, '
+            f'  n{node_id} [label="{kind}#{node_id}", style=filled, '
             f"fillcolor={color}];"
         )
-    for edge in graph.edges:
-        lines.append(f"  n{edge.src} -> n{edge.dst} [color={_edge_color(edge)}, penwidth=1];")
+    for src, dst, kind in graph.edges():
+        lines.append(f"  n{src} -> n{dst} [color={_edge_color(kind)}, penwidth=1];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -87,9 +85,8 @@ def _layout(graph: CodeGraph) -> dict[int, tuple[float, int]]:
     Leaves take consecutive slots in id order; parents center over their
     children, which keeps the drawing deterministic.
     """
-    parent, _ = parent_tree(graph)
-    children: list[list[int]] = [[] for _ in parent]
-    for node_id, p in enumerate(parent):  # ascending, so each list is sorted
+    children: list[list[int]] = [[] for _ in graph.parent]
+    for node_id, p in enumerate(graph.parent):  # ascending, so each list is sorted
         if p is not None:
             children[p].append(node_id)
     pos: dict[int, tuple[float, int]] = {}
@@ -107,7 +104,7 @@ def _layout(graph: CodeGraph) -> dict[int, tuple[float, int]]:
         pos[node_id] = (x, depth)
         return x
 
-    place(parent.index(None), 0)
+    place(graph.parent.index(None), 0)
     return pos
 
 
@@ -128,22 +125,22 @@ def _svg_for(graph: CodeGraph, metrics: dict[int, dict[str, float]]) -> str:
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
         f'height="{height}" viewBox="0 0 {width} {height}">'
     ]
-    for edge in graph.edges:
+    for src, dst, kind in graph.edges():
         parts.append(
-            f'<line x1="{cx(edge.src):.1f}" y1="{cy(edge.src):.1f}" '
-            f'x2="{cx(edge.dst):.1f}" y2="{cy(edge.dst):.1f}" '
-            f'stroke="{_edge_color(edge)}" stroke-width="1" opacity="0.6"/>'
+            f'<line x1="{cx(src):.1f}" y1="{cy(src):.1f}" '
+            f'x2="{cx(dst):.1f}" y2="{cy(dst):.1f}" '
+            f'stroke="{_edge_color(kind)}" stroke-width="1" opacity="0.6"/>'
         )
-    for node in graph.nodes:
-        color = _node_color(node.kind, node.id, metrics)
-        label = f"{node.kind}#{node.id}"
+    for node_id, kind in enumerate(graph.nodes):
+        color = _node_color(kind, node_id, metrics)
+        label = f"{kind}#{node_id}"
         parts.append(
             f'<g><title>{html.escape(label)}</title>'
-            f'<circle cx="{cx(node.id):.1f}" cy="{cy(node.id):.1f}" r="{_RADIUS}" '
+            f'<circle cx="{cx(node_id):.1f}" cy="{cy(node_id):.1f}" r="{_RADIUS}" '
             f'fill="{color}" fill-opacity="0.35" stroke="{color}"/>'
-            f'<text x="{cx(node.id):.1f}" y="{cy(node.id) + 3:.1f}" '
+            f'<text x="{cx(node_id):.1f}" y="{cy(node_id) + 3:.1f}" '
             f'font-size="8" text-anchor="middle" '
-            f'font-family="monospace">{html.escape(node.kind[:6])}{node.id}</text></g>'
+            f'font-family="monospace">{html.escape(kind[:6])}{node_id}</text></g>'
         )
     parts.append("</svg>")
     return "".join(parts)

@@ -7,11 +7,12 @@ import io
 import re
 import sys
 
+import numpy as np
 import pytest
 
 from refactorlab.cli import main as cli_main
 from refactorlab.corpus import Dataset, build_dataset, ingest_units
-from refactorlab.graph import CodeGraph, build_graph
+from refactorlab.graph import EDGE_KIND_INDEX, EDGE_KINDS, CodeGraph, build_graph
 from refactorlab.minipy.parser import parse_source
 from refactorlab.synth import generate_units
 
@@ -116,6 +117,51 @@ x = alpha.pull(1)
 y = epsilon.push(x)
 print(relay(y))
 """
+
+
+def edge_triples(graph: CodeGraph) -> list[tuple[int, int, str]]:
+    """A graph's edges as (src, dst, kind name) triples, in edge order."""
+    return [(src, dst, EDGE_KINDS[kind]) for src, dst, kind in graph.edges()]
+
+
+def graph_of(
+    kinds: list[str], x: np.ndarray, triples: list[tuple[int, int, str]], parent: list[int | None]
+) -> CodeGraph:
+    """A graph from its node kinds, feature rows, (src, dst, kind name)
+    edges and parent links, with each depth counted up the parent links."""
+    depth = []
+    for p in parent:
+        d = 0
+        while p is not None:
+            d, p = d + 1, parent[p]
+        depth.append(d)
+    src, dst, names = zip(*triples) if triples else ((), (), ())
+    return CodeGraph(
+        nodes=list(kinds),
+        x=np.array(x, dtype=np.float64),
+        src=np.array(src, dtype=np.int64),
+        dst=np.array(dst, dtype=np.int64),
+        kind=np.array([EDGE_KIND_INDEX[k] for k in names], dtype=np.int8),
+        parent=list(parent),
+        depth=depth,
+    )
+
+
+def permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
+    """Relabel node ids by ``perm``: node ``v`` becomes node ``perm[v]``, its
+    row of ``x``, its parent link and its depth moving with it."""
+    new_to_old = np.argsort(perm)
+    to_new = np.array(perm, dtype=np.int64)
+    parent = [graph.parent[v] for v in new_to_old.tolist()]
+    return CodeGraph(
+        nodes=[graph.nodes[v] for v in new_to_old.tolist()],
+        x=graph.x[new_to_old],
+        src=to_new[graph.src],
+        dst=to_new[graph.dst],
+        kind=graph.kind,
+        parent=[None if p is None else perm[p] for p in parent],
+        depth=[graph.depth[v] for v in new_to_old.tolist()],
+    )
 
 
 def nested_list(depth: int) -> list:

@@ -27,7 +27,7 @@ from refactorlab.gcn import (
     predict_graphs,
     suggest_split,
 )
-from refactorlab.graph import CodeGraph, EdgeRecord, NodeRecord, build_graph
+from refactorlab.graph import build_graph
 from refactorlab.metrics import cyclomatic, cyclomatic_cfg_oracle
 from refactorlab.minipy.interp import behavior_fingerprint
 from refactorlab.minipy.parser import parse_source
@@ -36,7 +36,7 @@ from refactorlab.rng import Rng
 from refactorlab.rules import analyze_rules
 from refactorlab.synth import generate_program, generate_units
 
-from conftest import run_cli
+from conftest import permuted, run_cli
 
 
 def verdict(num: int, ok: bool, detail: str) -> None:
@@ -158,15 +158,6 @@ def test_criterion_03_layer_forward_matches_oracle():
 # --- criterion 4: permutation equivariance --------------------------------------------
 
 
-def _permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
-    nodes = sorted(
-        (NodeRecord(id=perm[n.id], kind=n.kind, features=list(n.features)) for n in graph.nodes),
-        key=lambda n: n.id,
-    )
-    edges = [EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind) for e in graph.edges]
-    return CodeGraph(nodes=nodes, edges=edges)
-
-
 def test_criterion_04_forward_is_permutation_equivariant_on_50_graphs():
     model = init_model(99, GcnConfig(layers=4, units=16))
     units = generate_units(55, seed=505)
@@ -178,7 +169,7 @@ def test_criterion_04_forward_is_permutation_equivariant_on_50_graphs():
         base = forward(model, graph)
         perm = list(range(len(graph.nodes)))
         rng.shuffle(perm)
-        out = forward(model, _permuted(graph, perm))
+        out = forward(model, permuted(graph, perm))
         worst = max(worst, abs(out.graph_prob - base.graph_prob))
         for old_id in range(len(graph.nodes)):
             worst = max(worst, abs(out.node_scores[perm[old_id]] - base.node_scores[old_id]))

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import copy
-import dataclasses
 import functools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -45,7 +45,7 @@ from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.source import SourceUnit
 from refactorlab.synth import generate_units
 
-from conftest import PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, nested_list
+from conftest import PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, edge_triples, nested_list
 
 LABELED_SRC = (
     "def work(a):\n"
@@ -241,33 +241,30 @@ def test_oversample_jitter_preserves_type_column():
     out, _ = oversample(samples, target_minority=0.40, seed=5)
     base = build_graph(parse_source(PLAIN_SRC))
     for synth in out[10:]:
-        assert [n.kind for n in synth.graph.nodes] == [n.kind for n in base.nodes]
-        assert len(synth.graph.edges) == len(base.edges)
-        for got, src in zip(synth.graph.nodes, base.nodes):
-            assert got.features[2] == src.features[2]  # type index untouched
+        assert synth.graph.nodes == base.nodes
+        assert len(synth.graph.src) == len(base.src)
+        for got, src in zip(synth.graph.x.tolist(), base.x.tolist()):
+            assert got[2] == src[2]  # type index untouched
 
 
 def test_jitter_copy_is_independent_and_matches_a_deep_copy():
     source = build_graph(parse_source(SPLITTABLE_SRC))
     before = emit_graph_doc(source)
     u = 0.37
-    # the reference: a deep copy with every column but the type index scaled
-    expected = copy.deepcopy(source)
-    for node in expected.nodes:
-        node.features = [
-            f if col == NODE_TYPE_INDEX else f * (1.0 + JITTER_SCALE * u)
-            for col, f in enumerate(node.features)
-        ]
+    # the reference: every column but the type index scaled, one float at a time
+    expected = [
+        [(f if col == NODE_TYPE_INDEX else f * (1.0 + JITTER_SCALE * u)).hex() for col, f in enumerate(row)]
+        for row in source.x.tolist()
+    ]
     jittered = _jitter_graph(source, u)
-    assert emit_graph_doc(jittered) == emit_graph_doc(expected)
-    for node in jittered.nodes:
-        node.features[0] = -1.0
-    jittered.nodes[0].kind = "Import"
+    assert [[f.hex() for f in row] for row in jittered.x.tolist()] == expected
+    assert not np.shares_memory(jittered.x, source.x)
+    with pytest.raises(ValueError, match="read-only"):
+        jittered.x[0, 0] = -1.0
     assert emit_graph_doc(source) == before
-    # edges are immutable (src, dst, kind) triples, so the copy shares them
-    assert jittered.edges is source.edges
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        jittered.edges[0].src = 1
+    # the copy shares every structural field with its parent
+    for name in ("nodes", "src", "dst", "kind", "parent", "depth"):
+        assert getattr(jittered, name) is getattr(source, name), name
 
 
 def test_oversample_is_deterministic():
@@ -417,7 +414,8 @@ def test_manifest_graphs_round_trip_with_derived_edge_features(small_dataset):
     back = dataset_from_doc(json.loads(json.dumps(doc)))
     for was, now in zip(small_dataset.samples, back.samples, strict=True):
         assert now.graph.nodes == was.graph.nodes
-        assert now.graph.edges == was.graph.edges
+        assert now.graph.x.tolist() == was.graph.x.tolist()
+        assert edge_triples(now.graph) == edge_triples(was.graph)
         assert edge_features(now.graph) == edge_features(was.graph)
         assert (now.label, now.split_node) == (was.label, was.split_node)
 

@@ -43,9 +43,8 @@ from refactorlab.gcn import (
 from refactorlab.graph import (
     EDGE_KINDS,
     EDGE_STRENGTH,
+    NODE_FEATURE_DIM,
     CodeGraph,
-    EdgeRecord,
-    NodeRecord,
     build_graph,
     edge_features,
 )
@@ -53,7 +52,7 @@ from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.split import split_points
 from refactorlab.rng import Rng
 
-from conftest import SPLITTABLE_SRC
+from conftest import SPLITTABLE_SRC, edge_triples, graph_of, permuted
 
 TINY_SRC = "def f(a):\n    x = a + 1\n    return x\n"
 
@@ -62,16 +61,6 @@ SMALL_CFG = GcnConfig(layers=4, units=6, dropout=0.0)
 
 def tiny_graph() -> CodeGraph:
     return build_graph(parse_source(TINY_SRC))
-
-
-def permuted(graph: CodeGraph, perm: list[int]) -> CodeGraph:
-    """Relabel node ids by ``perm`` and re-sort records to the new order."""
-    nodes = sorted(
-        (NodeRecord(id=perm[n.id], kind=n.kind, features=list(n.features)) for n in graph.nodes),
-        key=lambda n: n.id,
-    )
-    edges = [EdgeRecord(src=perm[e.src], dst=perm[e.dst], kind=e.kind) for e in graph.edges]
-    return CodeGraph(nodes=nodes, edges=edges)
 
 
 # --- aggregation matrix -----------------------------------------------------------
@@ -96,10 +85,10 @@ def reference_aggregation(graph: CodeGraph) -> sparse.csr_matrix:
     scipy's COO constructor, which sorts the entries into canonical CSR."""
     n = len(graph.nodes)
     gates: dict[tuple[int, int], float] = {}
-    for e, row in zip(graph.edges, edge_features(graph)):
+    for (src, dst, _), row in zip(edge_triples(graph), edge_features(graph)):
         s = row[EDGE_STRENGTH]
-        gates[e.dst, e.src] = gates.get((e.dst, e.src), 0.0) + s
-        gates[e.src, e.dst] = gates.get((e.src, e.dst), 0.0) + s
+        gates[dst, src] = gates.get((dst, src), 0.0) + s
+        gates[src, dst] = gates.get((src, dst), 0.0) + s
     for v in range(n):
         gates[v, v] = gates.get((v, v), 0.0) + 1.0
     at = np.array(list(gates), dtype=np.int64).reshape(-1, 2)
@@ -112,13 +101,13 @@ def random_graph(rng: Rng) -> CodeGraph:
     reversed and self-edges included, shuffled in with the tree, so several
     terms of several strengths fall on one entry in a scrambled order."""
     n = 1 + rng.randrange(40)
-    nodes = [NodeRecord(id=i, kind="Name", features=[0.0] * 12) for i in range(n)]
-    edges = [EdgeRecord(src=rng.randrange(v), dst=v, kind="Parent") for v in range(1, n)]
+    parent = [None] + [rng.randrange(v) for v in range(1, n)]
+    edges = [(p, v, "Parent") for v, p in enumerate(parent) if p is not None]
     for _ in range(rng.randrange(3 * n + 1)):
         kind = EDGE_KINDS[1 + rng.randrange(len(EDGE_KINDS) - 1)]
-        edges.append(EdgeRecord(src=rng.randrange(n), dst=rng.randrange(n), kind=kind))
+        edges.append((rng.randrange(n), rng.randrange(n), kind))
     rng.shuffle(edges)
-    return CodeGraph(nodes=nodes, edges=edges)
+    return graph_of(["Name"] * n, np.zeros((n, NODE_FEATURE_DIM)), edges, parent)
 
 
 def test_aggregation_matrix_matches_reference_build_bit_for_bit():
@@ -296,9 +285,8 @@ def test_float32_gradients_match_float64():
 def featured_graph(rng: Rng) -> CodeGraph:
     """``random_graph`` with random non-negative node features."""
     graph = random_graph(rng)
-    for node in graph.nodes:
-        node.features = [rng.random() * 8.0 for _ in node.features]
-    return graph
+    x = [[rng.random() * 8.0 for _ in range(NODE_FEATURE_DIM)] for _ in graph.nodes]
+    return replace(graph, x=np.array(x))
 
 
 def test_a_step_in_reused_buffers_matches_one_in_fresh_buffers():

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from refactorlab import graph as graph_module
-from refactorlab.errors import SchemaError
 from refactorlab.graph import (
     EDGE_FEATURE_DIM,
     EDGE_FEATURE_NAMES,
@@ -13,23 +13,21 @@ from refactorlab.graph import (
     NODE_FEATURE_DIM,
     NODE_FEATURE_NAMES,
     _node_reads,
-    EdgeRecord,
     build_graph,
     edge_features,
     emit_graph_doc,
-    parent_tree,
 )
 from refactorlab.minipy.nodes import KIND_INDEX, AstNode, count_decisions
 from refactorlab.minipy.parser import parse_source
 from refactorlab.synth import generate_units
 
-from conftest import IMPORT_HEAVY_SRC, SPLITTABLE_SRC
+from conftest import IMPORT_HEAVY_SRC, SPLITTABLE_SRC, edge_triples, grown_source
 
 TINY_SRC = "def f(a):\n    x = a + 1\n    return x\n"
 
 
 def edge_set(graph, kind: str) -> set[tuple[int, int]]:
-    return {(e.src, e.dst) for e in graph.edges if e.kind == kind}
+    return {(src, dst) for src, dst, k in edge_triples(graph) if k == kind}
 
 
 # --- layout constants ---------------------------------------------------------
@@ -49,7 +47,7 @@ def test_feature_layout_is_fixed():
 def test_tiny_graph_exact_edges():
     # Module(0) -> FunctionDef(1) -> [Assign(2) "x", Return(3) reading x]
     graph = build_graph(parse_source(TINY_SRC))
-    assert [(n.id, n.kind) for n in graph.nodes] == [
+    assert list(enumerate(graph.nodes)) == [
         (0, "Module"),
         (1, "FunctionDef"),
         (2, "Assign"),
@@ -64,12 +62,12 @@ def test_tiny_graph_exact_edges():
 
 def test_loop_back_edge():
     graph = build_graph(parse_source("for i in range(3):\n    x = i\n    y = x\n"))
-    loop = next(n for n in graph.nodes if n.kind == "For")
+    loop = graph.nodes.index("For")
     backs = edge_set(graph, "ControlFlow")
     assert len(backs) == 1
     src, dst = next(iter(backs))
-    assert dst == loop.id  # last body statement points back at the header
-    assert src > loop.id
+    assert dst == loop  # last body statement points back at the header
+    assert src > loop
 
 
 def test_calls_edge_to_same_tree_function():
@@ -109,7 +107,7 @@ def test_dataflow_respects_function_scope():
 
 def test_edge_blocks_in_canonical_order():
     graph = build_graph(parse_source(SPLITTABLE_SRC))
-    kinds = [e.kind for e in graph.edges]
+    kinds = [k for _, _, k in edge_triples(graph)]
     order = {k: i for i, k in enumerate(EDGE_KINDS)}
     assert kinds == sorted(kinds, key=lambda k: order[k])
 
@@ -122,7 +120,7 @@ def test_tiny_graph_assign_features_by_hand():
     # enclosing function, defines one variable, receives one Parent edge,
     # emits NextSibling + DataFlow, no loops or imports below it,
     # complexity 1, no children, subtree of one node.
-    assert build_graph(parse_source(TINY_SRC)).nodes[2].features == [
+    assert build_graph(parse_source(TINY_SRC)).x[2].tolist() == [
         1.0,
         2.0,
         0.5,
@@ -141,7 +139,7 @@ def test_tiny_graph_assign_features_by_hand():
 def test_function_node_rolls_up_subtree():
     tree = parse_source(SPLITTABLE_SRC)
     fn = tree.functions()[0]
-    feats = build_graph(tree).nodes[fn.id].features
+    feats = build_graph(tree).x[fn.id].tolist()
     names = dict(zip(NODE_FEATURE_NAMES, feats))
     assert names["lines_in_subtree"] == 11.0
     assert names["scope_depth"] == 0.0
@@ -152,13 +150,13 @@ def test_function_node_rolls_up_subtree():
 
 def test_import_counts():
     tree = parse_source(IMPORT_HEAVY_SRC)
-    feats = build_graph(tree).nodes[0].features
+    feats = build_graph(tree).x[0].tolist()
     assert dict(zip(NODE_FEATURE_NAMES, feats))["imports_in_subtree"] == 6.0
 
 
 def test_degrees_count_all_edge_kinds():
     graph = build_graph(parse_source(TINY_SRC))
-    by_id = {n.id: n.features for n in graph.nodes}
+    by_id = graph.x.tolist()
     names = NODE_FEATURE_NAMES
     in_i, out_i = names.index("in_degree"), names.index("out_degree")
     # Return(3): Parent in, NextSibling in, DataFlow in; no outgoing
@@ -172,7 +170,7 @@ def test_degrees_count_all_edge_kinds():
 
 def features_of(graph, kind: str) -> list[float]:
     """The derived features of the first edge of one kind."""
-    return next(row for e, row in zip(graph.edges, edge_features(graph)) if e.kind == kind)
+    return next(row for e, row in zip(edge_triples(graph), edge_features(graph)) if e[2] == kind)
 
 
 def test_edge_features_by_hand():
@@ -187,8 +185,8 @@ def test_edge_features_by_hand():
 
 def test_backedge_direction_flag():
     graph = build_graph(parse_source("for i in range(3):\n    x = i\n"))
-    back = next(e for e in graph.edges if e.kind == "ControlFlow")
-    assert back.src > back.dst
+    src, dst = edge_set(graph, "ControlFlow").pop()
+    assert src > dst
     assert features_of(graph, "ControlFlow")[4] == 0.0
 
 
@@ -201,17 +199,42 @@ def test_build_graph_deterministic():
     assert a == b
 
 
-def test_graph_doc_parent_edges_must_form_tree():
+@pytest.mark.parametrize(
+    "sources",
+    [[u.body for u in generate_units(400, 101)], [grown_source(2000)]],
+    ids=["units-400-101", "grown-2000"],
+)
+def test_parent_links_are_the_trees_and_agree_with_the_parent_edges(sources):
+    for src in sources:
+        tree = parse_source(src)
+        graph = build_graph(tree)
+        assert graph.parent is tree.parent and graph.depth is tree.depths  # shared
+        parent = [None] * len(graph)
+        for s, d, kind in edge_triples(graph):
+            if kind == "Parent":
+                assert parent[d] is None, f"node {d} has two Parent edges"
+                parent[d] = s
+        assert graph.parent == parent
+        depth = [0] * len(graph)
+        for v, p in enumerate(parent):
+            if p is not None:
+                assert p < v  # preorder: a parent's depth is known first
+                depth[v] = depth[p] + 1
+        assert graph.depth == depth
+
+
+def test_graph_arrays_reject_an_in_place_write():
     graph = build_graph(parse_source(TINY_SRC))
-    # redirect the FunctionDef's parent edge onto itself: cycle, two roots
-    graph.edges = [
-        EdgeRecord(1, 1, "Parent") if e.kind == "Parent" and e.dst == 1 else e
-        for e in graph.edges
-    ]
-    with pytest.raises(SchemaError):
-        parent_tree(graph)
-    with pytest.raises(SchemaError):
-        edge_features(graph)
+    assert graph.x.dtype == np.float64 and graph.x.shape == (len(graph), NODE_FEATURE_DIM)
+    assert graph.kind.dtype == np.int8
+    with pytest.raises(ValueError, match="read-only"):
+        graph.x[0, 0] = 9.0
+    with pytest.raises(ValueError, match="read-only"):
+        graph.x *= 2.0
+    for edges in (graph.src, graph.dst, graph.kind):
+        with pytest.raises(ValueError, match="read-only"):
+            edges[0] = 1
+    assert graph.x.tolist() == build_graph(parse_source(TINY_SRC)).x.tolist()
 
 
 # --- one-pass builds against the quadratic reference ---------------------------------
@@ -236,9 +259,9 @@ def reference_node_features(tree, graph) -> list[list[float]]:
     """Four subtree walks per node: the table the bottom-up pass replaced."""
     in_deg = [0] * len(tree)
     out_deg = [0] * len(tree)
-    for e in graph.edges:
-        out_deg[e.src] += 1
-        in_deg[e.dst] += 1
+    for src, dst, _ in edge_triples(graph):
+        out_deg[src] += 1
+        in_deg[dst] += 1
     table = []
     for node in tree.nodes:
         variables = {
@@ -268,9 +291,9 @@ def reference_node_features(tree, graph) -> list[list[float]]:
 def assert_matches_reference(src: str):
     tree = parse_source(src)
     graph = build_graph(tree)
-    flows = [(e.src, e.dst) for e in graph.edges if e.kind == "DataFlow"]
+    flows = [(src, dst) for src, dst, kind in edge_triples(graph) if kind == "DataFlow"]
     assert flows == reference_dataflow(tree)
-    assert [n.features for n in graph.nodes] == reference_node_features(tree, graph)
+    assert graph.x.tolist() == reference_node_features(tree, graph)
     return tree, flows
 
 
@@ -344,12 +367,12 @@ def test_decisions_in_a_nested_function_stay_out_of_the_outer_node():
     tree, _ = assert_matches_reference(src)
     cc = NODE_FEATURE_NAMES.index("subtree_cyclomatic")
     loops = NODE_FEATURE_NAMES.index("loop_count_in_subtree")
-    features = build_graph(tree).nodes
+    x = build_graph(tree).x
     outer, inner = (f.id for f in tree.functions())
-    assert features[0].features[cc] == 1.0
-    assert features[outer].features[cc] == 2.0
-    assert features[inner].features[cc] == 3.0
-    assert features[outer].features[loops] == 1.0  # loops count through nested defs
+    assert x[0, cc] == 1.0
+    assert x[outer, cc] == 2.0
+    assert x[inner, cc] == 3.0
+    assert x[outer, loops] == 1.0  # loops count through nested defs
 
 
 def test_one_pass_build_matches_reference_on_a_corpus():

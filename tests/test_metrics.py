@@ -181,7 +181,7 @@ def test_flat_selected_entries_fixture():
     named = flat_features(tree).named()
     assert named["lines"] == 13.0
     assert named["nodes"] == float(len(graph.nodes))
-    assert named["edges"] == float(len(graph.edges))
+    assert named["edges"] == float(len(graph.src))
     assert named["loops"] == 1.0
     assert named["functions"] == 1.0
     assert named["total_CC"] == 4.0

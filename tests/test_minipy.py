@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refactorlab.errors import LexError, ParseError
-from refactorlab.graph import EDGE_FEATURE_NAMES, EdgeRecord, build_graph, edge_features
+from refactorlab.graph import EDGE_FEATURE_NAMES, build_graph, edge_features
 from refactorlab.minipy.astdoc import emit_ast_doc
 from refactorlab.minipy.nodes import count_decisions, structural_equal
 from refactorlab.minipy.parser import MAX_NESTING, parse_source
@@ -18,7 +18,15 @@ from refactorlab.minipy.split import extract_split, split_points
 from refactorlab.minipy.tokens import KEYWORDS, tokenize
 from refactorlab.synth import generate_units
 
-from conftest import COUPLED_SRC, IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC
+from conftest import (
+    COUPLED_SRC,
+    IMPORT_HEAVY_SRC,
+    PLAIN_SRC,
+    SPLITTABLE_SRC,
+    UNSPLITTABLE_SRC,
+    edge_triples,
+    graph_of,
+)
 
 ALL_SOURCES = [PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, IMPORT_HEAVY_SRC]
 
@@ -319,12 +327,14 @@ def _check_records(tree):
     # and on extra edges between scattered pairs, in both orientations
     graph = build_graph(tree)
     n = len(tree)
+    edges = edge_triples(graph)
     for a in range(n):
         b = (7 * a + 3) % n
-        graph.edges += [EdgeRecord(a, b, "DataFlow"), EdgeRecord(b, a, "Calls")]
+        edges += [(a, b, "DataFlow"), (b, a, "Calls")]
+    graph = graph_of(graph.nodes, graph.x, edges, graph.parent)
     rows = edge_features(graph)
-    for e, row in zip(graph.edges, rows, strict=True):
-        assert row[EDGE_FEATURE_NAMES.index("tree_distance")] == _walked_distance(tree, e.src, e.dst)
+    for (src, dst, _), row in zip(edges, rows, strict=True):
+        assert row[EDGE_FEATURE_NAMES.index("tree_distance")] == _walked_distance(tree, src, dst)
 
 
 def test_records_of_a_nested_function():

@@ -4,7 +4,9 @@
 and the report, so a change to any of those formats can leave a check
 reading a key that is gone.  The self-test runs each check on a real
 output and on a corrupted copy, and one round of the ``pipeline``
-workload runs every check on the program's current outputs.
+workload runs every check on the program's current outputs.  A traced
+``bigfile`` round also runs the tracer's hooks, which read attributes of
+the library's results (``len(build_graph(...).nodes)`` among them).
 """
 
 from __future__ import annotations
@@ -30,6 +32,16 @@ def test_pipeline_round_passes_its_checks():
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"),
          "--workload", "pipeline", "--seed", "3", "--seconds", "0", "--trace", "0"],
+        capture_output=True, text=True, cwd=ROOT, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True, proc.stdout
+
+
+def test_traced_bigfile_round_passes_its_checks():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "run.py"),
+         "--workload", "bigfile", "--seed", "3", "--seconds", "0", "--trace", "1"],
         capture_output=True, text=True, cwd=ROOT, timeout=600,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -9,7 +9,7 @@ from refactorlab.minipy.parser import parse_source
 from refactorlab.minipy.split import extract_split
 from refactorlab.viz import function_render_metrics, to_dot, to_html
 
-from conftest import IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC
+from conftest import IMPORT_HEAVY_SRC, PLAIN_SRC, SPLITTABLE_SRC, edge_triples
 
 HOT_SRC = (
     "def hot(a):\n"
@@ -61,9 +61,9 @@ def test_dot_is_a_digraph_with_every_node_and_edge():
     dot = render(PLAIN_SRC)
     assert dot.startswith("digraph code {")
     assert dot.endswith("}\n")
-    for node in graph.nodes:
-        assert f'n{node.id} [label="{node.kind}#{node.id}"' in dot
-    assert len(re.findall(r"n\d+ -> n\d+", dot)) == len(graph.edges)
+    for node_id, kind in enumerate(graph.nodes):
+        assert f'n{node_id} [label="{kind}#{node_id}"' in dot
+    assert len(re.findall(r"n\d+ -> n\d+", dot)) == len(graph.src)
 
 
 def test_hot_function_renders_red():
@@ -110,7 +110,7 @@ def test_non_function_nodes_are_never_red():
 def test_edge_colors_split_control_from_data():
     graph = build_graph(parse_source(SPLITTABLE_SRC))
     dot = render(SPLITTABLE_SRC)
-    kinds = {e.kind for e in graph.edges}
+    kinds = {kind for _, _, kind in edge_triples(graph)}
     assert {"Parent", "DataFlow"} <= kinds
     assert "color=blue" in dot
     assert "color=purple" in dot
@@ -118,8 +118,8 @@ def test_edge_colors_split_control_from_data():
 
 def test_every_edge_has_a_unit_stroke():
     graph = build_graph(parse_source(SPLITTABLE_SRC))
-    assert render(SPLITTABLE_SRC).count("penwidth=1") == len(graph.edges)
-    assert page(SPLITTABLE_SRC).count('stroke-width="1"') == len(graph.edges)
+    assert render(SPLITTABLE_SRC).count("penwidth=1") == len(graph.src)
+    assert page(SPLITTABLE_SRC).count('stroke-width="1"') == len(graph.src)
 
 
 # --- HTML output -----------------------------------------------------------------
