@@ -34,24 +34,29 @@ the aggregation matrix, and every layer, in training and inference and in
 Each pass holds only what its readers read.
 
 - **Who caches.**  A pass that a backward pass reads (a training step,
-  ``backward``, ``sample_loss`` and ``gradient_check``) caches, per layer,
-  the aggregated input S and the output H after ReLU and dropout, plus the
-  dropout scale.  H > 0 is exactly the kept-and-active mask, so the
-  pre-activation and a float dropout mask are never stored, and the
-  backward pass stops at layer 1's weights, since nothing reads the
-  gradient of the input features.
-- **Step buffers.**  Those passes write into a ``_PassBuffers``, and
-  ``train`` allocates one per call, with rows for the sum of the
-  ``batch_size`` largest node counts among its fit samples, so every batch
-  is a row prefix of it.  Each node-sized product and ufunc of a step
-  writes there with ``out=``, the sparse products through the CSR kernel
-  that scipy's ``A @ H`` calls (``_aggregate``), and the dropout draw fills
-  its float64 buffer, so a step reuses the same pages instead of mapping
-  fresh ones.
-- **Batched inference.**  ``forward``, ``predict_graphs`` and the
-  per-epoch validation pass cache nothing and hold one layer's arrays at a
-  time, and ``predict_graphs`` runs at most ``BATCH_SIZE`` graphs per
-  pass, so its memory does not grow with the number of graphs.
+  ``backward``, ``sample_loss`` and ``gradient_check``) caches what that
+  backward pass reads and nothing more: per layer the aggregated input S,
+  a bool mask of H > 0 after ReLU and dropout (exactly the
+  kept-and-active units, so neither the pre-activation nor a float
+  dropout mask is stored) and the dropout scale, plus the last layer's H,
+  which pooling and the heads read.  The backward pass stops at layer 1's
+  weights, since nothing reads the gradient of the input features.
+- **Step buffers.**  Those passes write into a ``_PassBuffers``: per row,
+  each layer's S and mask, one H that each layer overwrites in turn, and
+  dH; plus a fixed chunk of ``DRAW_CHUNK`` float64 dropout draws, which
+  the draw fills block by block in row order.  ``train`` allocates one per
+  call, with rows for the sum of the ``batch_size`` largest node counts
+  among its fit samples or for the validation slice, whichever is more,
+  so every batch and the per-epoch validation pass is a row prefix of it.
+  Each node-sized product and ufunc writes there with ``out=``, the sparse
+  products through the CSR kernel that scipy's ``A @ H`` calls
+  (``_aggregate``), so a step reuses the same pages instead of mapping
+  fresh ones.  The backward pass consumes its cache: once it has read the
+  last H and each layer's S, it writes its products into them.
+- **Batched inference.**  ``forward`` and ``predict_graphs`` cache
+  nothing and hold one layer's arrays at a time, and ``predict_graphs``
+  runs at most ``BATCH_SIZE`` graphs per pass, so its memory does not
+  grow with the number of graphs.
 
 Graph pooling is a product with a sparse matrix of ones, which sums each
 graph's rows in the same order alone or in any batch; no other operation
@@ -81,6 +86,7 @@ from .errors import (
     DataError,
     DimensionMismatchError,
     EmptyDatasetError,
+    InvariantError,
     check_fields,
     is_int,
     is_number,
@@ -99,6 +105,8 @@ ADAM_EPS = 1e-8
 VAL_FRACTION = 0.1
 # train()'s default batch size, and the most graphs one inference pass holds
 BATCH_SIZE = 128
+# float64 values per block of a dropout draw (512 KiB), whatever the batch
+DRAW_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -251,7 +259,8 @@ def _aggregate(A: sparse.csr_matrix, H: np.ndarray, out: np.ndarray | None = Non
     This calls the CSR kernel that scipy's own ``A @ H`` runs, into zeros,
     on the same arrays, so the floats are the same bit for bit.  The kernel
     casts operands of mixed dtypes to a common one and would then write
-    into a copy, so the dtypes must agree and ``out`` must be contiguous.
+    into a copy, so the dtypes must agree and ``out`` must be contiguous;
+    and it zeroes ``out`` before it reads ``H``, so the two must not overlap.
     """
     M, N = A.shape
     out = np.empty((M, H.shape[1]), dtype=A.dtype) if out is None else out
@@ -261,6 +270,7 @@ def _aggregate(A: sparse.csr_matrix, H: np.ndarray, out: np.ndarray | None = Non
         and out.shape == (M, H.shape[1])
         and H.flags.c_contiguous
         and out.flags.c_contiguous
+        and not np.shares_memory(H, out)
     ):
         raise ValueError(
             f"cannot aggregate {A.dtype} A{A.shape} over {H.dtype} H{H.shape}"
@@ -307,21 +317,33 @@ def gcn_layer_forward(
 
 class _PassBuffers:
     """The arrays of a cached forward pass and its backward pass, for up to
-    ``rows`` stacked nodes: per layer the aggregated input S and the output
-    H, the float64 dropout draw, a bool mask, the gradient dH and one
-    scratch array.  A pass over n nodes writes the first n rows of each, a
+    ``rows`` stacked nodes: per layer the aggregated input S and the bool
+    mask of H > 0, one output H that each layer overwrites, and the
+    gradient dH.  A pass over n nodes writes the first n rows of each, a
     C-contiguous prefix, so a batch of any size up to ``rows`` reuses them.
+    The dropout draw's float64 chunk has ``DRAW_CHUNK`` values at any
+    ``rows``.
     """
 
     def __init__(self, config: GcnConfig, rows: int, dtype: np.dtype | type) -> None:
         wide = (rows, config.units)
         self.S = [np.empty((rows, config.input_dim), dtype)]
         self.S += [np.empty(wide, dtype) for _ in range(config.layers - 1)]
-        self.H = [np.empty(wide, dtype) for _ in range(config.layers)]
-        self.draw = np.empty(wide, np.float64)  # Generator.random fills float64 only
-        self.mask = np.empty(wide, bool)
+        self.mask = [np.empty(wide, bool) for _ in range(config.layers)]
+        self.H = np.empty(wide, dtype)
         self.dH = np.empty(wide, dtype)
-        self.scratch = np.empty(wide, dtype)
+        self.draw = np.empty(DRAW_CHUNK, np.float64)  # Generator.random fills float64 only
+
+
+def _draw_keep(nprng: np.random.Generator, p: float, keep: np.ndarray, draw: np.ndarray) -> None:
+    """Write ``nprng.random(keep.shape) >= p`` into the contiguous bool
+    array ``keep``, drawing ``draw.size`` values at a time into ``draw``.
+    The generator yields one double per draw, in order, so the blocks hold
+    the very values of one full draw and leave it in the same state."""
+    flat = keep.reshape(-1)
+    for lo in range(0, flat.size, draw.size):
+        block = draw[: flat.size - lo]
+        np.greater_equal(nprng.random(out=block), p, out=flat[lo : lo + block.size])
 
 
 def _forward_full(
@@ -345,13 +367,13 @@ def _forward_full(
     Without ``buffers`` each layer's arrays are fresh and dropped once the
     next layer has read them, and the dict holds only the pooled and head
     outputs.  With ``buffers`` each layer writes its rows of them, and the
-    dict also caches, per layer, the aggregated input ``S``, the output
-    ``H`` after ReLU and dropout and the dropout scale (None where no
-    dropout ran), plus the buffers for the backward pass to write into.
-    ``H > 0`` holds exactly where a unit was kept and its pre-activation
-    was positive, so neither the pre-activation nor a float mask is kept.
-    The draw fills the float64 draw buffer with the values that
-    ``nprng.random(shape)`` would return.
+    dict also caches, per layer, the aggregated input ``S``, the ``mask``
+    of H > 0 after ReLU and dropout and the dropout scale (None where no
+    dropout ran), plus the last layer's output ``H_last`` and the buffers
+    for the backward pass to write into.  ``H > 0`` holds exactly where a
+    unit was kept and its pre-activation was positive, so neither the
+    pre-activation nor a float mask is kept.  The dropout draw gives the
+    bits of ``nprng.random(shape) >= dropout`` (``_draw_keep``).
 
     Pooling is a product with a sparse B x n matrix of ones, one row per
     graph.  It adds each graph's rows left to right from 0.0, whatever
@@ -363,7 +385,7 @@ def _forward_full(
     dtype = A.dtype
     n = X.shape[0]
     H = ((np.log1p(X) - model.feature_mu) / model.feature_sigma).astype(dtype, copy=False)
-    cache: dict = {} if buffers is None else {"A": A, "S": [], "H": [], "scale": [], "buffers": buffers}
+    cache: dict = {} if buffers is None else {"A": A, "S": [], "mask": [], "scale": [], "buffers": buffers}
     for layer in range(1, cfg.layers + 1):
         W, b = w[f"W{layer}"], w[f"b{layer}"]
         if buffers is None:
@@ -371,18 +393,18 @@ def _forward_full(
             H = _layer(S, W, b)
         else:
             S = _aggregate(A, H, buffers.S[layer - 1][:n])
-            H = _layer(S, W, b, buffers.H[layer - 1][:n])
+            H = _layer(S, W, b, buffers.H[:n])
         scale = None
         if nprng is not None and cfg.dropout > 0.0 and layer < cfg.layers:
-            keep = buffers.mask[:n]
-            np.greater_equal(nprng.random(out=buffers.draw[:n]), cfg.dropout, out=keep)
+            keep = buffers.mask[layer - 1][:n]
+            _draw_keep(nprng, cfg.dropout, keep, buffers.draw)
             # keep is 0 or 1, so (H * keep) * scale is the float H * (keep * scale)
             H *= keep
             scale = 1.0 / (1.0 - cfg.dropout)
             H *= scale
         if buffers is not None:
             cache["S"].append(S)
-            cache["H"].append(H)
+            cache["mask"].append(np.greater(H, 0.0, out=buffers.mask[layer - 1][:n]))
             cache["scale"].append(scale)
     ends = np.cumsum(counts)
     indptr = np.concatenate([[0], ends]).astype(np.int32)
@@ -392,6 +414,8 @@ def _forward_full(
     means = (pool @ H) / counts[:, None].astype(dtype)
     zg = means @ w["wg"] + w["bg"][0]
     zn = H @ w["wn"] + w["bn"][0]
+    if buffers is not None:
+        cache["H_last"] = H
     cache.update(
         {
             "counts": counts,
@@ -458,22 +482,27 @@ def _backward_from_cache(
 ) -> dict[str, np.ndarray]:
     """Gradients of the batch loss for every parameter, from a cached pass.
 
-    The node-sized arrays are rows of the pass's buffers: dH, the mask and
-    the scratch array, each written with ``out=``.  Only the gradients
-    themselves, of parameter size, are fresh arrays.
+    The node-sized arrays are rows of the pass's buffers, each written with
+    ``out=``: dH, and as scratch the last H once the node head's gradient
+    has read it and each layer's S once its weight gradient has.  So the
+    pass consumes its cache, and a second call on it raises
+    ``InvariantError``.  Only the gradients themselves, of parameter size,
+    are fresh arrays.
     """
+    S = cache.pop("S", None)
+    if S is None:
+        raise InvariantError("a cached pass feeds one backward pass, which overwrites its S")
     cfg = model.config
     w = model.weights
     counts = cache["counts"]
     starts = cache["starts"]
     B = len(labels)
-    H_final = cache["H"][-1]
+    H_last = cache["H_last"]
     # every array made here takes the activations' dtype: one float64
     # operand would silently upcast each product after it
-    dtype = H_final.dtype
-    n_total = H_final.shape[0]
-    buffers = cache["buffers"]
-    dH, mask, scratch = (a[:n_total] for a in (buffers.dH, buffers.mask, buffers.scratch))
+    dtype = H_last.dtype
+    n_total = H_last.shape[0]
+    dH = cache["buffers"].dH[:n_total]
 
     dzg = (cache["graph_probs"] - labels.astype(dtype)) / B
     dmeans = np.outer(dzg, w["wg"])
@@ -495,9 +524,9 @@ def _backward_from_cache(
         target = np.zeros(n, dtype=dtype)
         target[split] = 1.0
         dzn[lo : lo + n] = (cache["node_scores"][lo : lo + n] - target) / (n * B)
-    grads["wn"] = H_final.T @ dzn
+    grads["wn"] = H_last.T @ dzn
     grads["bn"] = np.array([dzn.sum()])
-    dH += np.multiply(dzn[:, None], w["wn"], out=scratch)  # np.outer(dzn, wn)
+    dH += np.multiply(dzn[:, None], w["wn"], out=H_last)  # np.outer(dzn, wn)
 
     for layer in range(cfg.layers, 0, -1):
         scale = cache["scale"][layer - 1]
@@ -506,12 +535,13 @@ def _backward_from_cache(
         # down to the signs of zeros
         if scale is not None:
             dH *= scale
-        dH *= np.greater(cache["H"][layer - 1], 0.0, out=mask)
-        grads[f"W{layer}"] = cache["S"][layer - 1].T @ dH
+        dH *= cache["mask"][layer - 1]
+        grads[f"W{layer}"] = S[layer - 1].T @ dH
         grads[f"b{layer}"] = dH.sum(axis=0)
         if layer > 1:  # nothing reads the gradient of the input features
-            # A is symmetric, so A.T @ (dZ @ W.T) is A @ (dZ @ W.T)
-            _aggregate(cache["A"], np.matmul(dH, w[f"W{layer}"].T, out=scratch), dH)
+            # A is symmetric, so A.T @ (dZ @ W.T) is A @ (dZ @ W.T); this
+            # layer's S, read for the last time above, holds dZ @ W.T
+            _aggregate(cache["A"], np.matmul(dH, w[f"W{layer}"].T, out=S[layer - 1]), dH)
     return grads
 
 
@@ -671,14 +701,18 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         return replace(model, weights={k: v.astype(step_dtype) for k, v in model.weights.items()})
 
     nprng = np.random.default_rng(rng.next_u64())
-    # every batch is a row prefix of buffers that fit the largest one possible
+    val_batch = _assemble_batch([tensors[i] for i in val_idx]) if val_idx else None
+    # every batch and the validation pass are row prefixes of buffers that
+    # fit the largest batch possible and the validation slice
     sizes = sorted((tensors[i].X.shape[0] for i in fit_idx), reverse=True)
-    buffers = _PassBuffers(cfg, sum(sizes[: config.batch_size]), step_dtype)
+    rows = sum(sizes[: config.batch_size])
+    if val_batch is not None:
+        rows = max(rows, val_batch[0].shape[0])
+    buffers = _PassBuffers(cfg, rows, step_dtype)
 
     adam_m = {k: np.zeros_like(v) for k, v in model.weights.items()}
     adam_v = {k: np.zeros_like(v) for k, v in model.weights.items()}
     t_step = 0
-    val_batch = _assemble_batch([tensors[i] for i in val_idx]) if val_idx else None
     history = TrainHistory()
 
     for _epoch in range(config.epochs):
@@ -708,7 +742,7 @@ def train(model: GcnModel, dataset, config: TrainConfig) -> tuple[GcnModel, Trai
         val_acc: float | None = None
         if val_batch is not None:
             X, A, counts, labels, _ = val_batch
-            cache = _forward_full(step_model(), X, A, counts)
+            cache = _forward_full(step_model(), X, A, counts, buffers=buffers)
             val_acc = _accuracy(cache["graph_probs"], labels)
         history.epochs.append(
             {

@@ -12,17 +12,19 @@ import pytest
 from scipy import sparse
 
 from refactorlab import gcn
-from refactorlab.errors import CheckpointError, DataError, DimensionMismatchError
+from refactorlab.errors import CheckpointError, DataError, DimensionMismatchError, InvariantError
 from refactorlab.gcn import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
+    DRAW_CHUNK,
     GcnConfig,
     TrainConfig,
     _aggregate,
     _assemble_batch,
     _backward_from_cache,
     _bce_logits,
+    _draw_keep,
     _forward_full,
     _loss_from_cache,
     _PassBuffers,
@@ -141,6 +143,19 @@ def test_aggregate_kernel_equals_the_sparse_product_bit_for_bit():
         _aggregate(A.astype(np.float32), H.astype(np.float64), np.zeros(H.shape))
 
 
+def test_aggregate_rejects_an_out_that_overlaps_its_input():
+    # the kernel zeroes out before it reads H, so an overlap would zero the input
+    A = aggregation_matrix(tiny_graph())
+    rows = np.arange(16.0).reshape(8, 2)
+    for H, out in ((rows[:4], rows[:4]), (rows[:4], rows[3:7])):
+        before = H.copy()
+        with pytest.raises(ValueError):
+            _aggregate(A, H, out)
+        assert np.array_equal(H, before)
+    # rows of one buffer that do not overlap are fine
+    assert _aggregate(A, rows[:4], rows[4:]).tobytes() == (A @ rows[:4]).tobytes()
+
+
 # --- layer forward vs straight-line oracle --------------------------------------------
 
 
@@ -241,7 +256,8 @@ def test_training_mode_gradient_check_with_fixed_dropout():
         return _forward_full(model, X, A, counts, np.random.default_rng(77), buffers)
 
     analytic = _backward_from_cache(model, cache(), labels, splits)
-    dropped = sum(int(np.count_nonzero(H == 0.0)) for H in cache()["H"][:-1])
+    # each mask is H > 0 after ReLU and dropout, so its unset bits count H == 0
+    dropped = sum(int(np.count_nonzero(~mask)) for mask in cache()["mask"][:-1])
     assert dropped > 0  # the draw masked units out
     step, worst = 1e-6, 0.0
     for name in model.param_names():
@@ -317,12 +333,72 @@ def test_a_step_in_reused_buffers_matches_one_in_fresh_buffers():
     assert run(reused, *small) == fresh
 
 
+@pytest.mark.parametrize("units", [1, 3])
+def test_chunked_dropout_draw_matches_one_full_draw(units):
+    # the same mask bits as one draw of the full shape, and the generator
+    # left in the same state, for row counts on and around the chunk size
+    draw = np.empty(DRAW_CHUNK)
+    for rows in (1, DRAW_CHUNK - 1, DRAW_CHUNK, DRAW_CHUNK + 1, 3 * DRAW_CHUNK + 5):
+        whole, chunked = np.random.default_rng(rows), np.random.default_rng(rows)
+        want = whole.random((rows, units)) >= 0.4
+        keep = np.empty((rows + 2, units), bool)[:rows]
+        _draw_keep(chunked, 0.4, keep, draw)
+        assert np.array_equal(keep, want), rows
+        assert chunked.bit_generator.state == whole.bit_generator.state, rows
+
+
+def test_pass_buffers_hold_only_what_backward_reads():
+    # per row, float32 and the default config: S (12 + 3 * 128 floats), one
+    # bool mask per layer (4 * 128), one H and dH (128 floats each)
+    def nbytes(buffers: _PassBuffers) -> int:
+        arrays = [a for v in vars(buffers).values() for a in (v if isinstance(v, list) else [v])]
+        return sum(a.nbytes for a in arrays)
+
+    cfg = GcnConfig()
+    small, large = (_PassBuffers(cfg, rows, np.float32) for rows in (10, 1000))
+    assert (nbytes(large) - nbytes(small)) / 990 == 3120
+    assert small.draw.nbytes == large.draw.nbytes == 8 * DRAW_CHUNK
+
+
+def test_backward_consumes_its_cache():
+    # the backward pass writes its products into S: a second one on the
+    # same cache would read them as activations
+    model = init_model(5, SMALL_CFG)
+    X, A, counts, labels, splits = gcn._batch_of_one(model, tiny_graph(), 1.0, 2)
+    cache = _forward_full(model, X, A, counts, buffers=_PassBuffers(SMALL_CFG, X.shape[0], A.dtype))
+    _backward_from_cache(model, cache, labels, splits)
+    with pytest.raises(InvariantError):
+        _backward_from_cache(model, cache, labels, splits)
+
+
+def test_validation_pass_in_dirtied_step_buffers_matches_the_cache_free_pass():
+    cfg = GcnConfig(layers=3, units=8, dropout=0.4)
+    model = init_model(32, cfg)
+    step = replace(model, weights={k: v.astype(np.float32) for k, v in model.weights.items()})
+    rng = Rng(32)
+    graphs = [featured_graph(rng) for _ in range(16)]
+
+    def batch(chunk):
+        tensors = [_sample_tensors(g, cfg, float(i % 2), i % len(g.nodes)) for i, g in enumerate(chunk)]
+        X, A, counts, labels, splits = _assemble_batch(tensors)
+        return X, A.astype(np.float32), counts, labels, splits
+
+    (X, A, counts, labels, splits), val = batch(graphs[:12]), batch(graphs[12:])
+    assert val[0].shape[0] < X.shape[0]
+    buffers = _PassBuffers(cfg, X.shape[0], np.float32)
+    cache = _forward_full(step, X, A, counts, np.random.default_rng(6), buffers)
+    _backward_from_cache(step, cache, labels, splits)
+    want = _forward_full(step, *val[:3])["graph_probs"]
+    got = _forward_full(step, *val[:3], buffers=buffers)["graph_probs"]
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+
+
 def test_pooling_sums_each_graph_left_to_right():
     model = init_model(8, SMALL_CFG)
     graphs = [tiny_graph(), build_graph(parse_source(SPLITTABLE_SRC)), tiny_graph()]
     X, A, counts, _, _ = _assemble_batch([_sample_tensors(g, SMALL_CFG, 0.0, None) for g in graphs])
     cache = _forward_full(model, X, A, counts, buffers=_PassBuffers(SMALL_CFG, X.shape[0], A.dtype))
-    H = cache["H"][-1]
+    H = cache["H_last"]
     for g, (lo, n) in enumerate(zip(cache["starts"], counts)):
         rows = H[lo : lo + n]
         assert np.array_equal(cache["means"][g], reduce(np.add, rows, np.zeros(H.shape[1])) / n)
@@ -425,6 +501,26 @@ def test_train_loss_decreases(small_dataset):
     assert history.epochs[-1]["train_loss"] < history.epochs[0]["train_loss"]
 
 
+def test_train_validates_a_slice_larger_than_any_batch(small_dataset, monkeypatch):
+    # with one graph per batch the validation pass needs more rows than any
+    # step, and must get them; it scores what the cache-free pass scores
+    passes = []
+    real_forward = gcn._forward_full
+
+    def spy_forward(step, X, A, counts, nprng=None, buffers=None):
+        cache = real_forward(step, X, A, counts, nprng, buffers)
+        free = None if nprng else real_forward(step, X, A, counts)["graph_probs"].tobytes()
+        passes.append((X.shape[0], nprng is None, free, cache["graph_probs"].tobytes()))
+        return cache
+
+    monkeypatch.setattr(gcn, "_forward_full", spy_forward)
+    _, history = train(init_model(42, SMALL_CFG), small_dataset, TrainConfig(epochs=2, batch_size=1, seed=42))
+    steps = [rows for rows, validation, _, _ in passes if not validation]
+    validations = [(rows, free, got) for rows, validation, free, got in passes if validation]
+    assert len(validations) == 2 and all(row["val_acc"] is not None for row in history.epochs)
+    assert all(rows > max(steps) and free == got for rows, free, got in validations)
+
+
 def test_train_config_rejects_bad_values():
     for bad in (
         {"epochs": 0},
@@ -461,9 +557,8 @@ def test_train_steps_in_float32_over_float64_master_weights(small_dataset, monke
 
     def spy_forward(step, X, A, counts, nprng=None, buffers=None):
         cache = real_forward(step, X, A, counts, nprng, buffers)
-        # the validation pass caches no layers
-        layers = [*cache.get("S", []), *cache.get("H", [])]
-        arrays = [*layers, cache["means"], cache["graph_probs"], cache["node_scores"]]
+        # the step and the validation pass both run in the step buffers
+        arrays = [*cache["S"], cache["H_last"], cache["means"], cache["graph_probs"], cache["node_scores"]]
         forward_calls.append(
             (
                 {a.dtype for a in arrays} | {w.dtype for w in step.weights.values()},
