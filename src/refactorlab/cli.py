@@ -165,8 +165,10 @@ def _parse_file(path: str):
 # --------------------------------------------------------------------------
 
 
-def _load_workspace(doc: dict) -> tuple[Dataset, dict[str, dict]]:
-    """Accept either a bare dataset manifest or a workspace wrapper."""
+def _load_workspace(doc: dict) -> tuple[Dataset, dict[str, GcnModel | DTreeModel]]:
+    """Accept either a bare dataset manifest or a workspace wrapper, and
+    decode each checkpoint a workspace carries, once: a stage that passes a
+    checkpoint through refuses a corrupt one as ``eval`` would."""
     if "samples" in doc:
         return dataset_from_doc(doc), {}
     check_fields(doc, {"version", "seed", "dataset", "checkpoints"}, "workspace")
@@ -184,10 +186,19 @@ def _load_workspace(doc: dict) -> tuple[Dataset, dict[str, dict]]:
     seed = doc.get("seed")
     if not is_int(seed) or seed != inner.get("seed"):
         raise SchemaError("workspace seed must be an integer equal to its manifest's seed")
-    return dataset_from_doc(inner), dict(checkpoints)
+    dataset = dataset_from_doc(inner)
+    models = {
+        name: gcn_from_doc(checkpoint) if name == "gnn" else dtree_from_doc(checkpoint)
+        for name, checkpoint in checkpoints.items()
+    }
+    return dataset, models
 
 
-def _workspace_doc(dataset: Dataset, checkpoints: dict[str, dict]) -> dict:
+def _workspace_doc(dataset: Dataset, models: dict[str, GcnModel | DTreeModel]) -> dict:
+    checkpoints = {
+        name: gcn_to_doc(model) if name == "gnn" else dtree_to_doc(model)
+        for name, model in models.items()
+    }
     return {
         "version": WORKSPACE_VERSION,
         "seed": dataset.seed,
@@ -332,7 +343,7 @@ def _cmd_corpus_build(args: argparse.Namespace) -> int:
 
 def _cmd_train(args: argparse.Namespace) -> int:
     doc = _read_json(args.data, "dataset manifest")
-    dataset, checkpoints = _load_workspace(doc)
+    dataset, models = _load_workspace(doc)
     if args.model == "gnn":
         config = TrainConfig(
             learning_rate=args.lr,
@@ -340,34 +351,30 @@ def _cmd_train(args: argparse.Namespace) -> int:
             batch_size=args.batch_size,
             seed=args.seed,
         )
-        model = _train_gnn(dataset, args.seed, config)
-        checkpoints["gnn"] = gcn_to_doc(model)
-        standalone = checkpoints["gnn"]
+        models["gnn"] = _train_gnn(dataset, args.seed, config)
     else:
-        dmodel = _train_dtree(dataset)
-        checkpoints["dtree"] = dtree_to_doc(dmodel)
-        standalone = checkpoints["dtree"]
+        models["dtree"] = _train_dtree(dataset)
+    ws = _workspace_doc(dataset, models)
     if args.checkpoint_out:
+        standalone = _dumps(ws["checkpoints"][args.model])
         try:
-            Path(args.checkpoint_out).write_text(_dumps(standalone) + "\n", encoding="utf-8")
+            Path(args.checkpoint_out).write_text(standalone + "\n", encoding="utf-8")
         except OSError as exc:
             raise DataError(f"cannot write {args.checkpoint_out}: {exc}") from exc
         print(f"wrote checkpoint {args.checkpoint_out}", file=sys.stderr)
-    _emit(_dumps(_workspace_doc(dataset, checkpoints)), args.out)
+    _emit(_dumps(ws), args.out)
     return EXIT_OK
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     doc = _read_json(args.data, "dataset manifest")
-    dataset, checkpoints = _load_workspace(doc)
-    if "gnn" in checkpoints:
-        gnn = gcn_from_doc(checkpoints["gnn"])
-    else:
+    dataset, models = _load_workspace(doc)
+    gnn = models.get("gnn")
+    if gnn is None:
         print("no gnn checkpoint; training with defaults", file=sys.stderr)
         gnn = _train_gnn(dataset, args.seed, TrainConfig(seed=args.seed))
-    if "dtree" in checkpoints:
-        dtree = dtree_from_doc(checkpoints["dtree"])
-    else:
+    dtree = models.get("dtree")
+    if dtree is None:
         print("no dtree checkpoint; training with defaults", file=sys.stderr)
         dtree = _train_dtree(dataset)
     report = compare(dataset, dtree, gnn)

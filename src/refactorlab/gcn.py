@@ -62,6 +62,17 @@ Graph pooling is a product with a sparse matrix of ones, which sums each
 graph's rows in the same order alone or in any batch; no other operation
 mixes rows, so a graph gets the same floats in any batch or chunk.
 
+Checkpoints.  ``gcn_to_doc`` writes the config and, per weight array and
+for ``feature_mu`` and ``feature_sigma``, one base64 string (RFC 4648) of
+the array's raw little-endian float64 bytes in C order: the data layout
+of NumPy's ``.npy`` format (NEP 1), 8 bytes a value where shortest-repr
+decimal text takes about 21.  Every shape follows from the config, so the
+document stores none.  ``gcn_from_doc`` checks each string's length
+against its shape before it decodes anything, then that it is canonical
+base64 (it re-encodes to itself) and that every value is finite, so a
+checkpoint decodes to the very floats it was written from and re-encodes
+to the same bytes.
+
 Every reduction runs in a fixed order, so a fixed seed reproduces training
 bit for bit for a fixed BLAS thread count: the number of BLAS threads
 changes how matrix products round, and with it the trained weights.
@@ -71,6 +82,7 @@ not depend on ``OPENBLAS_NUM_THREADS``; a direct caller must pin it too.
 
 from __future__ import annotations
 
+import base64
 import math
 import reprlib
 from dataclasses import asdict, dataclass, field, replace
@@ -94,7 +106,7 @@ from .errors import (
 from .graph import EDGE_STRENGTH, NODE_FEATURE_DIM, CodeGraph, edge_features
 from .rng import Rng
 
-CHECKPOINT_VERSION = "2"
+CHECKPOINT_VERSION = "3"
 _CHECKPOINT_KEYS = {"version", "kind", "config", "feature_mu", "feature_sigma", "weights"}
 
 # Adam moment decays and denominator guard
@@ -799,14 +811,46 @@ def suggest_split(
 # --- checkpoints ------------------------------------------------------------------------
 
 
+def _encode_array(array: np.ndarray) -> str:
+    return base64.b64encode(np.asarray(array, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _decode_array(key: str, value, shape: tuple[int, ...]) -> np.ndarray:
+    """The writeable float64 array of ``shape`` that ``value`` encodes.
+
+    The length is checked in Python ints before anything is decoded, so a
+    config that implies a huge array costs nothing.  A string that
+    decodes but does not re-encode to itself (stray bits in its last
+    character) is not canonical and is refused.
+    """
+    if not isinstance(value, str):
+        raise CheckpointError(f"checkpoint {key} must be a base64 string")
+    size = 8 * math.prod(shape)
+    if len(value) != 4 * -(-size // 3):
+        raise CheckpointError(
+            f"checkpoint {key} has wrong shape: {len(value)} base64 characters"
+            f" do not hold the float64 values of {shape}"
+        )
+    try:
+        raw = base64.b64decode(value, validate=True)
+    except ValueError as exc:  # binascii.Error, or a character outside ASCII
+        raise CheckpointError(f"checkpoint {key} is not base64: {exc}") from exc
+    if len(raw) != size or base64.b64encode(raw).decode("ascii") != value:
+        raise CheckpointError(f"checkpoint {key} is not canonical base64")
+    array = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.isfinite(array).all():
+        raise CheckpointError(f"checkpoint {key} holds a value that is not finite")
+    return array
+
+
 def gcn_to_doc(model: GcnModel) -> dict:
     return {
         "version": CHECKPOINT_VERSION,
         "kind": "gcn",
         "config": model.config.to_dict(),
-        "feature_mu": model.feature_mu.tolist(),
-        "feature_sigma": model.feature_sigma.tolist(),
-        "weights": {k: v.tolist() for k, v in model.weights.items()},
+        "feature_mu": _encode_array(model.feature_mu),
+        "feature_sigma": _encode_array(model.feature_sigma),
+        "weights": {k: _encode_array(v) for k, v in model.weights.items()},
     }
 
 
@@ -821,45 +865,30 @@ def gcn_from_doc(doc: dict) -> GcnModel:
         raise CheckpointError("GCN checkpoint needs config and weights objects")
     try:
         config = GcnConfig(**raw_config)
-        weights = {k: np.array(v, dtype=np.float64) for k, v in raw_weights.items()}
-        # absent standardization is built below, once input_dim is checked
-        mu, sigma = (
-            np.array(doc[key], dtype=np.float64) if key in doc else None
-            for key in ("feature_mu", "feature_sigma")
-        )
-    except (TypeError, ValueError, OverflowError, DataError) as exc:
+    except (TypeError, DataError) as exc:
         raise CheckpointError(f"malformed GCN checkpoint: {exc}") from exc
     # counted before any per-layer work, which a huge layer count would make huge
-    if len(weights) != 2 * config.layers + 4:
+    if len(raw_weights) != 2 * config.layers + 4:
         raise CheckpointError(f"checkpoint needs {2 * config.layers + 4} weight arrays")
-    model = GcnModel(config=config, weights=weights)
-    if set(weights) != set(model.param_names()):
+    model = GcnModel(config=config, weights={})
+    if set(raw_weights) != set(model.param_names()):
         raise CheckpointError(f"checkpoint weights must be exactly {model.param_names()}")
-    # W1's rows bound input_dim by the document's own size
-    d_in = config.input_dim
+    d_in, units = config.input_dim, (config.units,)
+    shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(1, config.layers + 1):
-        W, b = weights[f"W{layer}"], weights[f"b{layer}"]
-        if W.shape != (d_in, config.units) or b.shape != (config.units,):
-            raise CheckpointError(f"layer {layer} weights have wrong shape")
+        shapes[f"W{layer}"], shapes[f"b{layer}"] = (d_in, config.units), units
         d_in = config.units
-    for head in ("wg", "wn"):
-        if weights[head].shape != (config.units,):
-            raise CheckpointError(f"head {head} has wrong shape")
-    for bias in ("bg", "bn"):
-        if weights[bias].shape != (1,):
-            raise CheckpointError(f"bias {bias} has wrong shape")
-    mu = np.zeros(config.input_dim) if mu is None else mu
-    sigma = np.ones(config.input_dim) if sigma is None else sigma
-    if mu.shape != (config.input_dim,) or sigma.shape != (config.input_dim,):
-        raise CheckpointError("feature standardization has wrong shape")
-    if not (np.all(np.isfinite(mu)) and np.all(np.isfinite(sigma)) and np.all(sigma > 0)):
-        raise CheckpointError("feature standardization is not finite and positive")
+    shapes.update(wg=units, bg=(1,), wn=units, bn=(1,))
+    for key, shape in shapes.items():
+        model.weights[key] = _decode_array(key, raw_weights[key], shape)
+    # W1's length has bounded input_dim by the document's own size; absent
+    # standardization is the identity
+    dim = (config.input_dim,)
+    mu, sigma = (
+        _decode_array(key, doc[key], dim) if key in doc else fill(dim)
+        for key, fill in (("feature_mu", np.zeros), ("feature_sigma", np.ones))
+    )
+    if not np.all(sigma > 0):
+        raise CheckpointError("checkpoint feature_sigma holds a value that is not positive")
     model.feature_mu, model.feature_sigma = mu, sigma
-    if any(not np.all(np.isfinite(v)) for v in weights.values()):
-        raise CheckpointError("checkpoint weights are not finite")
-    # numpy reads true as 1.0 and "2" as 2.0; the document holds numbers only
-    arrays = {**raw_weights, **{k: doc[k] for k in ("feature_mu", "feature_sigma") if k in doc}}
-    for key, value in arrays.items():
-        if not all(map(is_number, np.array(value, dtype=object).ravel())):
-            raise CheckpointError(f"checkpoint {key} holds a value that is not a number")
     return model

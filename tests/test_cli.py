@@ -166,12 +166,16 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 # weights' bits on purpose; a change that means to keep every weight bit
 # has to keep these.  The workspace also embeds the manifest; it was
 # re-pinned alone when the manifest became source-first (version 5), with
-# the checkpoint and report unchanged.  The thread count changes how
-# matrix products round, so the CLI pins numpy's OpenBLAS to one thread
-# itself; the hashes hold whatever thread count the environment asks for.
+# the checkpoint and report unchanged.  The workspace and checkpoint were
+# re-pinned when checkpoints went to version "3", base64 float64 bytes in
+# place of decimal text: the new checkpoint decodes to the old one's
+# floats bit for bit, and the report kept its hash.  The thread count
+# changes how matrix products round, so the CLI pins numpy's OpenBLAS to
+# one thread itself; the hashes hold whatever thread count the
+# environment asks for.
 PINNED_GNN_OUTPUTS = {
-    "workspace": "03c6aced8d01313ef2b2323edd8757e47ce183602d22207c139de058aaa44e4e",
-    "checkpoint": "b8e0bf5b5de3c11884a12f8b730cc5dfc136242e570d016325a78c4855fd7b62",
+    "workspace": "9a72703ef0822244e5fcb0972990553ac393fd5449e2637b71fe042ff115a23e",
+    "checkpoint": "372b0c68462526bb5885b634c2862ce672013e4f5e68694a148031f5af7da6a9",
     "report": "3a0df33eea3040e354eb44d202ec201a9c4ca56f2b64492a9e4d386f5a626ccf",
 }
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -382,6 +386,18 @@ def test_exit_data_on_a_gnn_checkpoint_with_a_huge_layer_count(tmp_path, splitta
     code, _, err = run_cli(["suggest", splittable_file, "--model", str(checkpoint)])
     assert code == 3
     assert "weight arrays" in err and err.count("\n") == 1
+
+
+def test_exit_data_on_a_gnn_checkpoint_with_a_huge_unit_count(tmp_path, splittable_file):
+    # W1 would hold input_dim x 10**9 floats: its string's length refuses it
+    # before anything of that size is decoded
+    doc = gcn_to_doc(init_model(5, GcnConfig(layers=2, units=4)))
+    doc["config"]["units"] = 10**9
+    checkpoint = tmp_path / "huge.json"
+    checkpoint.write_text(json.dumps(doc))
+    code, _, err = run_cli(["suggest", splittable_file, "--model", str(checkpoint)])
+    assert code == 3
+    assert "W1 has wrong shape" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("standardization", ["kept", "absent"])
@@ -665,6 +681,29 @@ def test_train_checkpoint_out(tmp_path, pipeline):
     )
     assert code == 0, err
     dtree_from_doc(json.loads(target.read_text()))
+
+
+@pytest.mark.parametrize("model", ["gnn", "dtree"])
+def test_train_passes_the_other_checkpoint_through_byte_for_byte(pipeline, model):
+    # retraining either model on the same data gives its bytes again, and
+    # the other checkpoint is decoded and encoded back to the same bytes
+    code, out, err = run_cli(["train", "--model", model, "--epochs", "2"], stdin_text=pipeline[2])
+    assert code == 0, err
+    assert out == pipeline[2]
+
+
+@pytest.mark.parametrize("model", ["gnn", "dtree"])
+def test_train_refuses_a_workspace_whose_other_checkpoint_is_corrupt(pipeline, model):
+    # the checkpoint that train passes through is checked as eval would check it
+    ws = json.loads(pipeline[2])
+    if model == "dtree":
+        ws["checkpoints"]["gnn"]["weights"]["W1"] = "x"
+    else:
+        ws["checkpoints"]["dtree"]["n_features"] = "x"
+    code, out, err = run_cli(["train", "--model", model, "--epochs", "1"], stdin_text=json.dumps(ws))
+    assert (code, out) == (3, "")
+    assert err.startswith("refactorlab: data error: ") and err.count("\n") == 1
+    assert ("W1" if model == "dtree" else "n_features") in err
 
 
 # --- model application -------------------------------------------------------------------

@@ -37,13 +37,13 @@ def _valid_json(kind: str) -> str:
     kept, prov = ingest_units(generate_units(12, 3))
     dataset = build_dataset(kept, seed=3, provenance=prov)
     rows = [dataset.samples[i] for i in dataset.split["train"]]
-    dtree = dtree_to_doc(train_dtree([s.flat.values for s in rows], [s.label for s in rows]))
-    gnn = gcn_to_doc(init_model(3, GcnConfig(layers=2, units=3)))
+    dtree = train_dtree([s.flat.values for s in rows], [s.label for s in rows])
+    gnn = init_model(3, GcnConfig(layers=2, units=3))
     doc = {
         "bundle": units_to_bundle(generate_units(12, 3), 3),
         "workspace": _workspace_doc(dataset, {"gnn": gnn, "dtree": dtree}),
-        "gnn": gnn,
-        "dtree": dtree,
+        "gnn": gcn_to_doc(gnn),
+        "dtree": dtree_to_doc(dtree),
     }[kind]
     return json.dumps(doc)
 
@@ -56,9 +56,7 @@ def _load(kind: str, doc: dict) -> None:
     elif kind == "dtree":
         dtree_from_doc(doc)
     else:
-        _, checkpoints = _load_workspace(doc)
-        for name, checkpoint in checkpoints.items():
-            (gcn_from_doc if name == "gnn" else dtree_from_doc)(checkpoint)
+        _load_workspace(doc)  # which decodes every checkpoint the workspace carries
 
 
 _POSERS = st.one_of(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import base64
+import copy
+import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 from functools import reduce
@@ -660,43 +664,122 @@ def test_checkpoint_defaults_identity_standardization():
     assert np.all(model.feature_sigma == 1.0)
 
 
+def _values(text: str) -> np.ndarray:
+    """The float64 values a checkpoint string holds, decoded here on its own."""
+    return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
+
+
+def _b64(values) -> str:
+    return base64.b64encode(np.asarray(values, dtype="<f8").tobytes()).decode("ascii")
+
+
+def _with_value(text: str, index: int, value: float) -> str:
+    values = _values(text)
+    values[index] = value
+    return _b64(values)
+
+
+def _with_extra_byte(text: str) -> str:
+    return base64.b64encode(base64.b64decode(text) + b"\0").decode("ascii")
+
+
+def _with_char(text: str, index: int, char: str) -> str:
+    return text[:index] + char + text[index + 1 :]
+
+
 def test_checkpoint_rejects_corruption():
     base = gcn_to_doc(init_model(2, SMALL_CFG))
+    assert len(base["weights"]["bg"]) == 12 and base["weights"]["bg"].endswith("=")
 
-    def corrupt(mutate):
-        import copy
-
+    def corrupt(mutate, match: str | None = None):
         doc = copy.deepcopy(base)
         mutate(doc)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CheckpointError, match=match):
             gcn_from_doc(doc)
+
+    def w(doc: dict) -> dict:
+        return doc["weights"]
 
     corrupt(lambda d: d.update(version="0"))
     corrupt(lambda d: d.update(kind="dtree"))
-    corrupt(lambda d: d["weights"].pop("W1"))
-    corrupt(lambda d: d["weights"].update(W2=[[1.0]]))
-    corrupt(lambda d: d["weights"]["wg"].append(0.0))
-    corrupt(lambda d: d["weights"]["b1"].__setitem__(0, float("nan")))
-    corrupt(lambda d: d["feature_sigma"].__setitem__(0, 0.0))
-    corrupt(lambda d: d["feature_mu"].pop())
+    corrupt(lambda d: w(d).pop("W1"))
+    corrupt(lambda d: w(d).update(W2=_b64([1.0])), "wrong shape")
+    corrupt(lambda d: w(d).update(wg=_with_extra_byte(w(d)["wg"])), "wrong shape")
+    corrupt(lambda d: w(d).update(b1=_with_value(w(d)["b1"], 0, float("nan"))), "not finite")
+    corrupt(lambda d: d.update(feature_sigma=_with_value(d["feature_sigma"], 0, 0.0)), "not positive")
+    corrupt(lambda d: d.update(feature_mu=_b64(_values(d["feature_mu"])[:-1])), "wrong shape")
     corrupt(lambda d: d["config"].update(layers=0))
     corrupt(lambda d: d["config"].update(layers=-1))
     corrupt(lambda d: d["config"].update(layers=True))
     corrupt(lambda d: d["config"].update(dropout=2.0))
-    corrupt(lambda d: d["weights"]["W1"][0].__setitem__(0, "x"))
-    corrupt(lambda d: d["feature_mu"].__setitem__(0, "x"))
-    corrupt(lambda d: d["feature_sigma"].__setitem__(0, "x"))
+    corrupt(lambda d: w(d).update(W1="x"))
+    corrupt(lambda d: d.update(feature_mu="x"))
+    corrupt(lambda d: d.update(feature_sigma="x"))
     corrupt(lambda d: d.update(weights=[1]))
-    corrupt(lambda d: d["weights"].update(W9=[[1.0]]))
+    corrupt(lambda d: w(d).update(W9=_b64([1.0])))
     # a version-1 checkpoint still carrying the dropped normalization flag
     corrupt(lambda d: d.update(version="1", config={**d["config"], "symmetric_norm": False}))
-    # numpy would read true as 1.0 and "0.5" as 0.5; keys nobody reads are refused
-    corrupt(lambda d: d["weights"]["W1"][0].__setitem__(0, True))
-    corrupt(lambda d: d["weights"]["bg"].__setitem__(0, False))
-    corrupt(lambda d: d["weights"]["W2"][1].__setitem__(2, "0.5"))
-    corrupt(lambda d: d["feature_mu"].__setitem__(0, False))
-    corrupt(lambda d: d["feature_sigma"].__setitem__(0, True))
+    # a bool or a number's text where an array's string goes; keys nobody reads are refused
+    corrupt(lambda d: w(d).update(W1=True), "must be a base64 string")
+    corrupt(lambda d: w(d).update(bg=False), "must be a base64 string")
+    corrupt(lambda d: w(d).update(W2="0.5"))
+    corrupt(lambda d: d.update(feature_mu=False), "must be a base64 string")
+    corrupt(lambda d: d.update(feature_sigma=True), "must be a base64 string")
     corrupt(lambda d: d.update(trained_on="corpus"))
+    # the encoding's own faults, each at the right length so the decoder meets it
+    corrupt(lambda d: w(d).update(W1=_with_char(w(d)["W1"], 4, "*")), "not base64")
+    corrupt(lambda d: w(d).update(W1=_with_char(w(d)["W1"], 4, "=")), "not base64")
+    corrupt(lambda d: w(d).update(bg=w(d)["bg"][:-2] + "=="), "not canonical")
+    corrupt(lambda d: w(d).update(bg=w(d)["bg"][:-1] + "A"), "not canonical")
+    corrupt(lambda d: w(d).update(W1=_with_char(w(d)["W1"], 4, "\n")), "not base64")
+    corrupt(lambda d: w(d).update(W1=w(d)["W1"][:4] + "\n" + w(d)["W1"][4:]), "wrong shape")
+    # 0.0 is "AAAAAAAAAAA="; "B" sets bits that the 8 bytes do not hold
+    corrupt(lambda d: w(d).update(bg=_with_char(w(d)["bg"], 10, "B")), "not canonical")
+    corrupt(lambda d: w(d).update(wg=_with_value(w(d)["wg"], 1, math.inf)), "not finite")
+    corrupt(lambda d: d.update(feature_mu=_with_value(d["feature_mu"], 2, -math.inf)), "not finite")
+    # the version-2 form: a nested list of numbers where the string goes
+    corrupt(lambda d: w(d).update(W1=_values(w(d)["W1"]).reshape(-1, 6).tolist()), "must be a base64 string")
+    corrupt(lambda d: w(d).update(W1=_with_char(w(d)["W1"], 4, "\ud800")), "not base64")
+    corrupt(lambda d: w(d).update(W1=_with_char(w(d)["W1"], 4, "\u00e9")), "not base64")
+    corrupt(lambda d: d.update(version="2"), "bad GCN checkpoint version")
+
+
+def test_checkpoint_keeps_every_float_bit_for_bit():
+    model = init_model(4, SMALL_CFG)
+    tiny = 5e-324
+    special = [-0.0, 0.0, tiny, 2.5e-310, -sys.float_info.min, sys.float_info.max, -sys.float_info.max]
+    model.weights["b1"] = np.array(special[:6])
+    model.weights["bg"] = np.array(special[6:])
+    model.weights["W2"][3, :] = np.nextafter(1.0, 2.0)
+    model.feature_mu = np.linspace(-1e300, 1e300, SMALL_CFG.input_dim)
+    back = gcn_from_doc(json.loads(json.dumps(gcn_to_doc(model))))
+    for key, value in model.weights.items():
+        assert back.weights[key].view(np.uint64).tolist() == value.view(np.uint64).tolist(), key
+        assert back.weights[key].dtype == np.float64 and back.weights[key].flags.writeable
+    assert back.feature_mu.view(np.uint64).tolist() == model.feature_mu.view(np.uint64).tolist()
+    assert np.signbit(back.weights["b1"][0])
+
+
+def test_checkpoint_holds_eight_bytes_a_value():
+    model = init_model(0)
+    values = sum(v.size for v in model.weights.values()) + 2 * model.config.input_dim
+    text = json.dumps(gcn_to_doc(model), sort_keys=True, separators=(",", ":"))
+    # base64 takes 32 characters per 24 bytes (10.67 a value) plus the
+    # config, the keys and the padding; decimal text takes about 21 a value
+    assert len(text) <= 11 * values + 500, (len(text), values)
+
+
+def test_checkpoint_refuses_a_huge_layer_before_allocating_it():
+    doc = gcn_to_doc(init_model(5, GcnConfig(layers=2, units=4)))
+    doc["config"]["units"] = 10**9
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="W1 has wrong shape"):
+            gcn_from_doc(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_init_model_shapes_follow_config():
