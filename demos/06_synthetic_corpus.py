@@ -6,8 +6,9 @@ kinds of decoys that match them on flat statistics, and neutral filler.
 Labels are recomputed structurally, never taken from the family tag.
 The pipeline then dedups, filters, caps outliers, oversamples the
 minority class, and produces a stratified train/test split.  The
-manifest (version 5) stores each sample's source, or the SMOTE recipe of
-an oversampled copy; loading rebuilds every graph from those.
+manifest (version 6) stores each sample's source, path and label only;
+loading derives the flat features, split nodes and SMOTE copies from the
+sources and the seed again, and every graph on first read.
 """
 
 import json
@@ -48,17 +49,17 @@ print(f"samples: {len(ds.samples)} "
       f"minority share {labels[1] / len(ds.samples):.2f})")
 print(f"split: {len(ds.split['train'])} train / {len(ds.split['test'])} test")
 
-# --- the manifest stores sources and recipes, and round-trips exactly -------
+# --- the manifest stores sources, and loading derives the copies again ------
 
 doc = dataset_to_doc(ds)
 wire = json.dumps(doc, sort_keys=True)
-copies = sum(1 for s in doc["samples"] if "parent" in s)
 print(f"manifest v{doc['version']}: {len(wire) / 1e6:.2f} MB, "
-      f"{len(doc['samples']) - copies} samples with source, {copies} SMOTE recipes")
+      f"{len(doc['samples'])} samples with source; "
+      f"{doc['provenance']['oversampled']} SMOTE copies derived on load")
 again = dataset_from_doc(json.loads(wire))
 same_graphs = all(
     emit_graph_doc(a.graph) == emit_graph_doc(b.graph) and a.flat.values == b.flat.values
     for a, b in zip(ds.samples, again.samples)
 )
-print("rebuilt graphs and flat features equal:", same_graphs)
+print(f"derived {len(again.samples)} samples; graphs and flat features equal:", same_graphs)
 print("manifest round trip exact:", dataset_to_doc(again) == doc)

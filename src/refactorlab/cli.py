@@ -159,9 +159,9 @@ def _parse_file(path: str):
 
 
 # --------------------------------------------------------------------------
-# workspace document: the dataset manifest (each sample's source or SMOTE
-# recipe; a graph is built when a stage first reads it) plus trained
-# checkpoints
+# workspace document: the dataset manifest (each sample's source and
+# label; loading derives the rest, SMOTE copies included, and a graph is
+# built when a stage first reads it) plus trained checkpoints
 # --------------------------------------------------------------------------
 
 

@@ -11,6 +11,12 @@ statement after that loop; the first such trailing statement is the
 labeled split point.  This pattern is visible to a graph model but not to
 any single flat threshold, which is what makes the model comparison an
 actual experiment.
+
+A sample is defined once, by ``derive_samples``: from a source and the
+corpus seed it gets its label, split node, capped flat features and, for
+the minority class, its SMOTE copies.  The manifest therefore stores each
+sample's source, path and label only, plus the split; loading it parses
+every source and derives the rest again, as the build did.
 """
 
 from __future__ import annotations
@@ -34,12 +40,10 @@ from .errors import (
     SingleClassError,
     TooSmallError,
     check_fields,
-    check_numbers,
     is_int,
-    is_number,
 )
 from .graph import NODE_TYPE_INDEX, CodeGraph, build_graph
-from .metrics import FLAT_DIM, FlatFeatures, cap_outliers, flat_features
+from .metrics import FlatFeatures, cap_outliers, flat_features
 from .minipy.nodes import AstNode, AstTree, count_decisions
 from .minipy.parser import parse_source
 from .minipy.source import SourceUnit
@@ -48,7 +52,7 @@ from .rng import Rng
 
 log = logging.getLogger(__name__)
 
-MANIFEST_VERSION = "5"
+MANIFEST_VERSION = "6"
 BUNDLE_VERSION = "1"
 
 DEFAULT_TEST_FRACTION = 0.20
@@ -80,13 +84,11 @@ class Provenance:
     def from_doc(cls, doc: dict) -> "Provenance":
         fields = cls().to_doc()
         check_fields(doc, set(fields), "provenance")
-        vals = {}
         for name in fields:
-            v = doc.get(name, 0)
+            v = doc.get(name)
             if not is_int(v) or v < 0:
                 raise SchemaError(f"provenance.{name} must be a non-negative integer")
-            vals[name] = v
-        return cls(**vals)
+        return cls(**doc)
 
 
 @dataclass
@@ -95,11 +97,12 @@ class LabeledSample:
 
     ``split_node`` is the graph node id of the labeled extraction point
     (first statement after the qualifying loop).  A sample read from
-    source keeps its ``source``, ``path`` and parsed ``tree`` (in memory
-    only), so later stages replay splits without parsing again.  An
-    oversampled copy has none of those; it keeps its ``recipe`` instead,
-    (parent, neighbor, u), from which ``smote_copy`` derives it, and the
-    ``parent`` sample itself.
+    source keeps its ``source``, ``path`` and parsed ``tree``, so later
+    stages replay splits without parsing again.  An oversampled copy has
+    none of those; it keeps its ``recipe``, (parent, neighbor, u), and the
+    ``parent`` sample itself.  Only a sample with source reaches the
+    manifest, as its source, path and label; ``derive_samples`` makes
+    every other field, and every copy, again on load.
 
     ``graph`` is built the first time a stage reads it, then kept: the
     tree's ``build_graph``, or for a copy its parent's graph jittered by
@@ -261,16 +264,15 @@ def structural_label(tree: AstTree) -> tuple[int, int | None]:
     return 0, None
 
 
-def label_unit(unit: ParsedUnit) -> LabeledSample:
-    """Label and featurize one parsed unit; its graph waits for a reader."""
-    tree = unit.tree
+def label_unit(tree: AstTree, source: str, path: str | None) -> LabeledSample:
+    """Label and featurize one parsed source; its graph waits for a reader."""
     label, split_node = structural_label(tree)
     return LabeledSample(
         flat=flat_features(tree),
         label=label,
         split_node=split_node,
-        source=unit.body,
-        path=unit.path,
+        source=source,
+        path=path,
         tree=tree,
     )
 
@@ -303,27 +305,6 @@ def _jitter_graph(graph: CodeGraph, u: float) -> CodeGraph:
     return replace(graph, x=x)
 
 
-def smote_copy(
-    samples: Sequence[LabeledSample], parent: int, neighbor: int, u: float
-) -> LabeledSample:
-    """The oversampled row made from ``samples[parent]`` and ``samples[neighbor]``.
-
-    Its flat features are the SMOTE interpolation x + u * (nb - x)
-    (Chawla et al., JAIR 2002) and its graph, on first read, is the
-    parent's jittered by u; it takes the parent's label and split node and
-    carries no source.
-    """
-    src = samples[parent]
-    pairs = zip(src.flat.values, samples[neighbor].flat.values)
-    return LabeledSample(
-        flat=FlatFeatures([x + u * (nb - x) for x, nb in pairs]),
-        label=src.label,
-        split_node=src.split_node,
-        recipe=(parent, neighbor, u),
-        parent=src,
-    )
-
-
 def oversample(
     samples: Sequence[LabeledSample],
     target_minority: float = DEFAULT_TARGET_MINORITY,
@@ -331,9 +312,12 @@ def oversample(
 ) -> tuple[list[LabeledSample], int]:
     """Raise the minority class to ``target_minority`` by interpolation.
 
-    Each new row is a ``smote_copy`` of a random minority sample against
-    one of its k = 5 nearest minority neighbors (Euclidean on flat
-    features).  Majority rows are never touched.
+    Each new row pairs a random minority sample (the parent) with one of
+    its k = 5 nearest minority neighbors (Euclidean on flat features).  Its
+    flat features are the SMOTE interpolation x + u * (nb - x) (Chawla et
+    al., JAIR 2002) and its graph, on first read, is the parent's jittered
+    by u; it takes the parent's label and split node and carries no
+    source.  Majority rows are never touched.
     """
     labels = [s.label for s in samples]
     n_pos = sum(labels)
@@ -360,7 +344,18 @@ def oversample(
             dists[src_pos] = np.inf
             nb_pos = int(np.argsort(dists, kind="stable")[rng.randrange(k)])
         u = rng.random()
-        out.append(smote_copy(samples, minority_idx[src_pos], minority_idx[nb_pos], u))
+        parent, neighbor = minority_idx[src_pos], minority_idx[nb_pos]
+        src = samples[parent]
+        pairs = zip(src.flat.values, samples[neighbor].flat.values)
+        out.append(
+            LabeledSample(
+                flat=FlatFeatures([x + u * (nb - x) for x, nb in pairs]),
+                label=src.label,
+                split_node=src.split_node,
+                recipe=(parent, neighbor, u),
+                parent=src,
+            )
+        )
     return out, n_new
 
 
@@ -414,6 +409,28 @@ def split_indices(
 # --- full pipeline -----------------------------------------------------------
 
 
+def derive_samples(
+    parsed: Sequence[tuple[AstTree, str, str | None]], seed: int
+) -> tuple[list[LabeledSample], int]:
+    """Everything a sample holds besides its source, from the sources and the seed.
+
+    ``parsed`` holds one (tree, source, path) per unit.  Each is labeled
+    and featurized, the flat features are capped at the corpus's
+    percentile, and the minority class is oversampled with the first draw
+    of ``Rng(seed)`` as SMOTE seed.  Returns the samples, copies last, and
+    the number of copies.  ``build_dataset`` and ``dataset_from_doc`` both
+    call this, so a manifest need store none of it.
+    """
+    samples = [label_unit(*p) for p in parsed]
+    capped = cap_outliers([s.flat for s in samples], percentile=DEFAULT_CAP_PERCENTILE)
+    for sample, flat in zip(samples, capped):
+        sample.flat = flat
+    labels = [s.label for s in samples]
+    if not 0 < sum(labels) < len(labels):
+        return samples, 0
+    return oversample(samples, DEFAULT_TARGET_MINORITY, seed=Rng(seed).next_u64())
+
+
 def build_dataset(
     units: Sequence[ParsedUnit],
     seed: int = 42,
@@ -422,8 +439,9 @@ def build_dataset(
 ) -> Dataset:
     """Run the whole pipeline on triaged units.
 
-    Stages, in order: dedup, trivial filter, structural labeling, outlier
-    capping, minority oversampling, stratified split.  ``units`` come from
+    Stages, in order: dedup, trivial filter, ``derive_samples`` (structural
+    labeling, outlier capping, minority oversampling), stratified split
+    seeded by the second draw of ``Rng(seed)``.  ``units`` come from
     ``ingest_units``, which parsed each one; no stage parses again.
     ``provenance`` carries ingest counts from that triage; when omitted
     every unit is counted as ingested.
@@ -435,23 +453,10 @@ def build_dataset(
     prov.trivial_dropped = dropped
     if not units3:
         raise EmptyDatasetError("no samples survived dedup and filtering")
-    samples = [label_unit(u) for u in units3]
-
-    capped = cap_outliers([s.flat for s in samples], percentile=DEFAULT_CAP_PERCENTILE)
-    for sample, flat in zip(samples, capped):
-        sample.flat = flat
-
+    samples, prov.oversampled = derive_samples([(u.tree, u.body, u.path) for u in units3], seed)
     master = Rng(seed)
-    seed_smote = master.next_u64()
-    seed_split = master.next_u64()
-
-    labels = [s.label for s in samples]
-    if 0 < sum(labels) < len(labels):
-        samples, n_new = oversample(samples, DEFAULT_TARGET_MINORITY, seed=seed_smote)
-        prov.oversampled = n_new
-
-    labels = [s.label for s in samples]
-    split = split_indices(labels, test_fraction, seed=seed_split)
+    master.next_u64()  # the SMOTE seed, drawn in derive_samples
+    split = split_indices([s.label for s in samples], test_fraction, seed=master.next_u64())
     ds = Dataset(samples=samples, split=split, seed=seed, provenance=prov)
     ds.validate()
     return ds
@@ -507,99 +512,45 @@ def units_from_bundle(doc: dict) -> tuple[list[SourceUnit], int]:
 
 
 def _sample_to_doc(sample: LabeledSample) -> dict:
-    if sample.recipe is not None:
-        parent, neighbor, u = sample.recipe
-        return {"parent": parent, "neighbor": neighbor, "u": u, "label": sample.label}
-    doc: dict[str, Any] = {
-        "source": sample.source,
-        "flat": list(sample.flat.values),
-        "label": sample.label,
-    }
+    doc: dict[str, Any] = {"source": sample.source, "label": sample.label}
     if sample.path is not None:
         doc["path"] = sample.path
-    if sample.split_node is not None:
-        doc["split_node"] = sample.split_node
     return doc
 
 
-_SOURCE_KEYS = {"source", "path", "flat", "label", "split_node"}
-_COPY_KEYS = {"parent", "neighbor", "u", "label"}
-
-
-def _check_sample_keys(doc: Any, where: str) -> bool:
-    """Whether ``doc`` is an oversampled copy, after checking its keys."""
-    if not isinstance(doc, dict):
-        raise SchemaError(f"{where} must be an object")
-    is_copy = "source" not in doc
-    allowed = _COPY_KEYS if is_copy else _SOURCE_KEYS
-    needed = _COPY_KEYS if is_copy else {"source", "flat", "label"}
-    kind = "an oversampled copy (no source)" if is_copy else "a sample with source"
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"{where} is {kind} and cannot carry {sorted(unknown)[0]!r}")
-    missing = needed - set(doc)
-    if missing:
-        raise SchemaError(f"{where} is {kind} and needs {sorted(missing)[0]!r}")
-    if not is_int(doc["label"]) or doc["label"] not in (0, 1):
-        raise SchemaError(f"{where}.label must be 0 or 1")
-    return is_copy
-
-
-def _sample_from_source(doc: dict, where: str) -> LabeledSample:
-    """Parse the sample's source once and check its split node on the tree."""
+def _parse_sample(doc: Any, where: str) -> tuple[AstTree, str, str | None]:
+    """Check one manifest sample's fields and parse its source once."""
+    check_fields(doc, {"source", "path", "label"}, where)
+    for key in ("source", "label"):
+        if key not in doc:
+            raise SchemaError(f"{where} needs {key!r}")
     source, path = doc["source"], doc.get("path")
     if not isinstance(source, str):
         raise SchemaError(f"{where}.source must be a string")
     if path is not None and not isinstance(path, str):
         raise SchemaError(f"{where}.path must be a string")
-    flat = check_numbers(doc["flat"], FLAT_DIM, f"{where}.flat")
+    if not is_int(doc["label"]) or doc["label"] not in (0, 1):
+        raise SchemaError(f"{where}.label must be 0 or 1")
     try:
         tree = parse_source(source)
     except (LexError, ParseError) as exc:
         raise SchemaError(f"{where}.source does not parse: {exc}") from exc
-    split_node = doc.get("split_node")
-    if split_node is not None and (not is_int(split_node) or split_node not in split_points(tree)):
-        raise SchemaError(f"{where}.split_node must be a legal split point of its source")
-    return LabeledSample(
-        flat=FlatFeatures(flat),
-        label=doc["label"],
-        split_node=split_node,
-        source=source,
-        path=path,
-        tree=tree,
-    )
-
-
-def _sample_from_recipe(
-    doc: dict, where: str, samples: list[LabeledSample | None]
-) -> LabeledSample:
-    """Rebuild an oversampled copy from the real samples it names."""
-    for key in ("parent", "neighbor"):
-        i = doc[key]
-        target = samples[i] if is_int(i) and 0 <= i < len(samples) else None
-        if target is None or target.source is None:
-            raise SchemaError(f"{where}.{key} must be the index of a sample with source")
-        if target.label != doc["label"]:
-            raise SchemaError(f"{where}.{key} points at a sample of the other label")
-    u = doc["u"]
-    if not is_number(u) or not 0.0 <= u < 1.0:
-        raise SchemaError(f"{where}.u must be a number in [0, 1)")
-    return smote_copy(samples, doc["parent"], doc["neighbor"], float(u))
+    return tree, source, path
 
 
 def dataset_to_doc(dataset: Dataset) -> dict:
     """Versioned, source-first manifest.
 
-    A sample with source stores its source, path, capped flat features,
-    label and split node; an oversampled copy stores only its recipe and
-    label.  Trees and copies are rebuilt on load, and each graph on first
-    read.
+    A sample is its source, its path and its label; ``derive_samples``
+    makes everything else from the sources and the seed on load, the
+    oversampled copies included, so none of that is written.  The label
+    stays because a reader of the document alone may check it.
     """
     return {
         "version": MANIFEST_VERSION,
         "seed": dataset.seed,
         "provenance": dataset.provenance.to_doc(),
-        "samples": [_sample_to_doc(s) for s in dataset.samples],
+        "samples": [_sample_to_doc(s) for s in dataset.samples if s.recipe is None],
         "split": {"train": list(dataset.split["train"]), "test": list(dataset.split["test"])},
     }
 
@@ -610,9 +561,13 @@ _MANIFEST_KEYS = {"version", "seed", "provenance", "samples", "split"}
 def dataset_from_doc(doc: dict) -> Dataset:
     """Validate and load a dataset manifest; raises SchemaError on violation.
 
-    Every source is parsed and every split node and recipe checked here,
-    so a malformed manifest fails at load; no graph is built until a stage
-    reads it.
+    Every source is parsed here and ``derive_samples`` rebuilds the
+    dataset from the sources and the seed as ``build_dataset`` made it.
+    Each stored label must equal its source's, and
+    ``provenance.oversampled`` the number of copies derived.  The copies
+    follow the samples in ``oversample``'s order, so split indices
+    ``len(samples)`` to ``len(samples) + oversampled - 1`` name them.  No
+    graph is built until a stage reads it.
     """
     check_fields(doc, _MANIFEST_KEYS, "manifest")
     if doc.get("version") != MANIFEST_VERSION:
@@ -620,19 +575,22 @@ def dataset_from_doc(doc: dict) -> Dataset:
     seed = doc.get("seed")
     if not is_int(seed):
         raise SchemaError("manifest seed must be an integer")
-    prov = Provenance.from_doc(doc.get("provenance", {}))
+    prov = Provenance.from_doc(doc.get("provenance"))
     raw_samples = doc.get("samples")
-    if not isinstance(raw_samples, list):
-        raise SchemaError("manifest samples must be an array")
-    is_copy = [_check_sample_keys(s, f"samples[{i}]") for i, s in enumerate(raw_samples)]
-    # samples with source first: each copy is rebuilt from two of them
-    samples: list[LabeledSample | None] = [
-        None if copy else _sample_from_source(s, f"samples[{i}]")
-        for i, (s, copy) in enumerate(zip(raw_samples, is_copy))
-    ]
-    for i, (s, copy) in enumerate(zip(raw_samples, is_copy)):
-        if copy:
-            samples[i] = _sample_from_recipe(s, f"samples[{i}]", samples)
+    if not isinstance(raw_samples, list) or not raw_samples:
+        raise SchemaError("manifest samples must be a non-empty array")
+    parsed = [_parse_sample(s, f"samples[{i}]") for i, s in enumerate(raw_samples)]
+    samples, n_copies = derive_samples(parsed, seed)
+    for i, (raw, sample) in enumerate(zip(raw_samples, samples)):
+        if raw["label"] != sample.label:
+            raise SchemaError(
+                f"samples[{i}].label is {raw['label']}, but its source's is {sample.label}"
+            )
+    if prov.oversampled != n_copies:
+        raise SchemaError(
+            f"manifest provenance.oversampled is {prov.oversampled},"
+            f" but its samples make {n_copies} copies"
+        )
     raw_split = doc.get("split")
     if (
         not isinstance(raw_split, dict)
@@ -647,5 +605,7 @@ def dataset_from_doc(doc: dict) -> Dataset:
     try:
         ds.validate()
     except InvariantError as exc:
-        raise SchemaError(str(exc)) from exc
+        raise SchemaError(
+            f"manifest {exc}: {len(raw_samples)} samples and {n_copies} oversampled copies"
+        ) from exc
     return ds

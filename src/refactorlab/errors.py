@@ -6,7 +6,7 @@ problems -> 1, source-language problems -> 2, data/schema problems -> 3,
 internal invariant violations -> 4.
 
 The checks every document reader shares are defined here too, once:
-``is_int``, ``is_number``, ``check_numbers`` and ``check_fields``.
+``is_int``, ``is_number`` and ``check_fields``.
 """
 
 from __future__ import annotations
@@ -112,17 +112,6 @@ def is_number(value: Any) -> bool:
     if isinstance(value, float):
         return math.isfinite(value)
     return is_int(value) and abs(value) <= sys.float_info.max
-
-
-def check_numbers(value: Any, dim: int, path: str) -> list[float]:
-    """``value`` as ``dim`` finite floats; SchemaError naming ``path`` otherwise."""
-    if not isinstance(value, list) or len(value) != dim:
-        raise SchemaError(f"{path} must be a list of {dim} numbers")
-    for i, v in enumerate(value):
-        if not is_number(v):
-            what = "finite" if isinstance(v, float) else "a number"
-            raise SchemaError(f"{path}[{i}] is not {what}")
-    return [float(v) for v in value]
 
 
 def check_fields(

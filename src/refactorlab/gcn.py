@@ -163,9 +163,9 @@ class GcnModel:
     config: GcnConfig
     weights: dict[str, np.ndarray]
     # per-feature input standardization constants, fitted on the train
-    # split and frozen into the checkpoint; identity until trained
-    feature_mu: np.ndarray = field(default_factory=lambda: np.zeros(NODE_FEATURE_DIM))
-    feature_sigma: np.ndarray = field(default_factory=lambda: np.ones(NODE_FEATURE_DIM))
+    # split and frozen into the checkpoint; ``init_model`` sets the identity
+    feature_mu: np.ndarray
+    feature_sigma: np.ndarray
 
     def param_names(self) -> list[str]:
         names = []
@@ -870,25 +870,22 @@ def gcn_from_doc(doc: dict) -> GcnModel:
     # counted before any per-layer work, which a huge layer count would make huge
     if len(raw_weights) != 2 * config.layers + 4:
         raise CheckpointError(f"checkpoint needs {2 * config.layers + 4} weight arrays")
-    model = GcnModel(config=config, weights={})
-    if set(raw_weights) != set(model.param_names()):
-        raise CheckpointError(f"checkpoint weights must be exactly {model.param_names()}")
     d_in, units = config.input_dim, (config.units,)
     shapes: dict[str, tuple[int, ...]] = {}
     for layer in range(1, config.layers + 1):
         shapes[f"W{layer}"], shapes[f"b{layer}"] = (d_in, config.units), units
         d_in = config.units
     shapes.update(wg=units, bg=(1,), wn=units, bn=(1,))
-    for key, shape in shapes.items():
-        model.weights[key] = _decode_array(key, raw_weights[key], shape)
-    # W1's length has bounded input_dim by the document's own size; absent
-    # standardization is the identity
+    if set(raw_weights) != set(shapes):
+        raise CheckpointError(f"checkpoint weights must be exactly {list(shapes)}")
+    weights = {key: _decode_array(key, raw_weights[key], shape) for key, shape in shapes.items()}
+    # W1's length has bounded input_dim by the document's own size
     dim = (config.input_dim,)
-    mu, sigma = (
-        _decode_array(key, doc[key], dim) if key in doc else fill(dim)
-        for key, fill in (("feature_mu", np.zeros), ("feature_sigma", np.ones))
-    )
+    for key in ("feature_mu", "feature_sigma"):
+        if key not in doc:
+            raise CheckpointError(f"GCN checkpoint needs {key}")
+    mu = _decode_array("feature_mu", doc["feature_mu"], dim)
+    sigma = _decode_array("feature_sigma", doc["feature_sigma"], dim)
     if not np.all(sigma > 0):
         raise CheckpointError("checkpoint feature_sigma holds a value that is not positive")
-    model.feature_mu, model.feature_sigma = mu, sigma
-    return model
+    return GcnModel(config=config, weights=weights, feature_mu=mu, feature_sigma=sigma)

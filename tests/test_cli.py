@@ -169,12 +169,15 @@ def test_outputs_match_pinned_hashes(tmp_path, monkeypatch, name):
 # the checkpoint and report unchanged.  The workspace and checkpoint were
 # re-pinned when checkpoints went to version "3", base64 float64 bytes in
 # place of decimal text: the new checkpoint decodes to the old one's
-# floats bit for bit, and the report kept its hash.  The thread count
-# changes how matrix products round, so the CLI pins numpy's OpenBLAS to
-# one thread itself; the hashes hold whatever thread count the
-# environment asks for.
+# floats bit for bit, and the report kept its hash.  The workspace was
+# re-pinned alone again when the manifest went to version "6", which drops
+# each sample's flat vector and split node and every copy's recipe (all
+# derived again on load); the checkpoint and report kept their hashes.
+# The thread count changes how matrix products round, so the CLI pins
+# numpy's OpenBLAS to one thread itself; the hashes hold whatever thread
+# count the environment asks for.
 PINNED_GNN_OUTPUTS = {
-    "workspace": "9a72703ef0822244e5fcb0972990553ac393fd5449e2637b71fe042ff115a23e",
+    "workspace": "74bd2c7fe58547ca4edfa6500006aeab1db63046b656d1914a145db5c2c9914b",
     "checkpoint": "372b0c68462526bb5885b634c2862ce672013e4f5e68694a148031f5af7da6a9",
     "report": "3a0df33eea3040e354eb44d202ec201a9c4ca56f2b64492a9e4d386f5a626ccf",
 }
@@ -479,14 +482,41 @@ def test_exit_data_on_a_split_node_that_is_no_legal_split_point(argv):
     code, manifest, err = run_cli(["corpus", "build"], stdin_text=bundle)
     assert code == 0, err
     doc = json.loads(manifest)
-    i = next(i for i, s in enumerate(doc["samples"]) if s.get("split_node") is not None)
-    doc["samples"][i]["split_node"] = 1  # a top-level statement: no tail starts there
+    i = next(i for i, s in enumerate(doc["samples"]) if s["label"] == 1)
+    # version 6 derives each split node from its source; a planted one, even
+    # one no tail starts at (a top-level statement), is an unknown field
+    doc["samples"][i]["split_node"] = 1
     code, _, err = run_cli(argv, stdin_text=json.dumps(doc))
     assert code == 3
-    assert err == (
-        f"refactorlab: data error: samples[{i}].split_node must be a legal split point"
-        " of its source\n"
-    )
+    assert err == f"refactorlab: data error: samples[{i}] has unknown field 'split_node'\n"
+
+
+@pytest.mark.parametrize(
+    "fault", ["label", "version", "oversampled+1", "oversampled-1", "split without copies"]
+)
+def test_exit_data_on_a_manifest_that_disagrees_with_its_sources(pipeline, fault):
+    # a v6 manifest stores what cannot be derived; what it stores beside the
+    # sources must agree with what loading derives from them
+    doc = json.loads(pipeline[1])
+    if fault == "label":
+        i = next(i for i, s in enumerate(doc["samples"]) if s["label"] == 1)
+        doc["samples"][i]["label"] = 0
+        want = f"samples[{i}].label is 0, but its source's is 1"
+    elif fault == "version":
+        doc["version"] = "5"
+        want = "manifest version must be '6'"
+    elif fault == "split without copies":
+        # the copies take the indices after the samples with source
+        n, copies = len(doc["samples"]), doc["provenance"]["oversampled"]
+        doc["split"] = {k: [i for i in v if i < n] for k, v in doc["split"].items()}
+        want = f"does not cover all samples: {n} samples and {copies} oversampled copies"
+    else:
+        n = doc["provenance"]["oversampled"]
+        doc["provenance"]["oversampled"] = n + int(fault[-2:])
+        want = f"provenance.oversampled is {n + int(fault[-2:])}, but its samples make {n} copies"
+    code, out, err = run_cli(["train", "--model", "dtree"], stdin_text=json.dumps(doc))
+    assert (code, out) == (3, "")
+    assert want in err and err.count("\n") == 1
 
 
 def test_graphs_are_built_only_where_a_stage_reads_them(monkeypatch):
@@ -531,15 +561,17 @@ def test_graphs_are_built_only_where_a_stage_reads_them(monkeypatch):
     assert (built, jittered) == ([], [])
 
     doc = json.loads(manifest)
-    samples = doc["samples"]
-    assert any("parent" in s for s in samples)
+    # the manifest stores no copy; the loaded dataset derives them
+    samples = corpus.dataset_from_doc(doc).samples
+    assert any(s.recipe is not None for s in samples)
 
     def reads(split):
         """Digests a split may build (its sources and its copies' parents) and its copies' u."""
-        sources = {i for i in doc["split"][split] if "source" in samples[i]}
-        sources |= {samples[i]["parent"] for i in doc["split"][split] if "parent" in samples[i]}
-        u = Counter(samples[i]["u"] for i in doc["split"][split] if "parent" in samples[i])
-        return {source_digest(samples[i]["source"]) for i in sources}, u
+        rows = [samples[i] for i in doc["split"][split]]
+        sources = {s.source for s in rows if s.recipe is None}
+        sources |= {samples[s.recipe[0]].source for s in rows if s.recipe is not None}
+        u = Counter(s.recipe[2] for s in rows if s.recipe is not None)
+        return {source_digest(source) for source in sources}, u
 
     ws_gnn = stage(["train", "--model", "gnn", "--epochs", "1"], manifest)
     may_build, copies = reads("train")
@@ -554,12 +586,12 @@ def test_graphs_are_built_only_where_a_stage_reads_them(monkeypatch):
     # each graph built on first read is the one built directly
     dataset, unread = corpus.dataset_from_doc(doc), corpus.dataset_from_doc(doc)
     before = repr(dataset.samples)
-    for sample, raw in zip(dataset.samples, samples, strict=True):
-        if "parent" in raw:
-            parent = samples[raw["parent"]]["source"]
-            direct = real_jitter(real_build(parse_source(parent)), raw["u"])
+    for sample, derived in zip(dataset.samples, samples, strict=True):
+        if derived.recipe is not None:
+            parent = samples[derived.recipe[0]].source
+            direct = real_jitter(real_build(parse_source(parent)), derived.recipe[2])
         else:
-            direct = real_build(parse_source(raw["source"]))
+            direct = real_build(parse_source(derived.source))
         assert emit_graph_doc(sample.graph) == emit_graph_doc(direct)
         assert [[f.hex() for f in row] for row in sample.graph.x.tolist()] == [
             [f.hex() for f in row] for row in direct.x.tolist()
@@ -611,7 +643,7 @@ def test_eval_pr_points(pipeline):
 def test_train_gnn_without_validation_slice(pipeline):
     # one training sample leaves nothing to carve a validation slice from
     manifest = json.loads(pipeline[1])
-    n = len(manifest["samples"])
+    n = len(manifest["samples"]) + manifest["provenance"]["oversampled"]
     manifest["split"] = {"train": [0], "test": list(range(1, n))}
     code, _, err = run_cli(
         ["train", "--model", "gnn", "--epochs", "1"], stdin_text=json.dumps(manifest)

@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +40,7 @@ from refactorlab.errors import (
     SingleClassError,
     TooSmallError,
 )
-from refactorlab.corpus import LabeledSample
+from refactorlab.corpus import Dataset, LabeledSample
 from refactorlab.graph import NODE_TYPE_INDEX, build_graph, edge_features, emit_graph_doc
 from refactorlab.metrics import FLAT_DIM, FlatFeatures, cyclomatic
 from refactorlab.minipy.parser import parse_source
@@ -46,6 +48,8 @@ from refactorlab.minipy.source import SourceUnit
 from refactorlab.synth import generate_units
 
 from conftest import PLAIN_SRC, SPLITTABLE_SRC, UNSPLITTABLE_SRC, edge_triples, nested_list
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LABELED_SRC = (
     "def work(a):\n"
@@ -405,12 +409,11 @@ def test_manifest_round_trip(small_dataset):
 
 def test_manifest_graphs_round_trip_with_derived_edge_features(small_dataset):
     doc = dataset_to_doc(small_dataset)
-    assert doc["version"] == "5"
-    # a sample stores its source or its SMOTE recipe; graphs are rebuilt on load
+    assert doc["version"] == "6"
+    # a sample stores its source, path and label; copies and graphs are derived on load
+    assert len(doc["samples"]) == len(small_dataset.samples) - small_dataset.provenance.oversampled
     for sample in doc["samples"]:
-        assert "graph" not in sample
-        assert set(sample) <= ({"source", "path", "flat", "label", "split_node"} if "source" in sample
-                               else {"parent", "neighbor", "u", "label"})
+        assert set(sample) == {"source", "path", "label"}
     back = dataset_from_doc(json.loads(json.dumps(doc)))
     for was, now in zip(small_dataset.samples, back.samples, strict=True):
         assert now.graph.nodes == was.graph.nodes
@@ -420,19 +423,53 @@ def test_manifest_graphs_round_trip_with_derived_edge_features(small_dataset):
         assert (now.label, now.split_node) == (was.label, was.split_node)
 
 
-def test_manifest_rebuilds_every_sample_exactly():
-    # each real sample's graph comes back from its source and each copy's
-    # graph and flat from its recipe, equal float for float
-    kept, prov = ingest_units(generate_units(300, 11))
-    ds = build_dataset(kept, seed=11, provenance=prov)
-    assert any(s.recipe is not None for s in ds.samples)
+def _hex(values) -> list:
+    return [[f.hex() for f in row] for row in values]
+
+
+def _assert_derived_again(ds: Dataset) -> None:
+    """Loading ``ds``'s manifest gives back every sample, float for float.
+
+    Each real sample comes back from its source, and each copy's flat
+    features and graph from the recipe derived again, in the order
+    ``oversample`` made them.
+    """
+    assert ds.provenance.oversampled > 0
     back = dataset_from_doc(json.loads(json.dumps(dataset_to_doc(ds), sort_keys=True)))
+    assert (back.split, back.provenance, back.seed) == (ds.split, ds.provenance, ds.seed)
     for was, now in zip(ds.samples, back.samples, strict=True):
         assert emit_graph_doc(now.graph) == emit_graph_doc(was.graph)
-        assert now.flat.values == was.flat.values
+        assert _hex(now.graph.x.tolist()) == _hex(was.graph.x.tolist())
+        assert _hex([now.flat.values]) == _hex([was.flat.values])
         assert (now.label, now.split_node) == (was.label, was.split_node)
         assert (now.source, now.path, now.recipe) == (was.source, was.path, was.recipe)
     assert dataset_to_doc(back) == dataset_to_doc(ds)
+
+
+def test_manifest_rebuilds_every_sample_exactly():
+    kept, prov = ingest_units(generate_units(300, 11))
+    _assert_derived_again(build_dataset(kept, seed=11, provenance=prov))
+
+
+def _pipeline_corpus() -> Dataset:
+    """The seed-101 corpus of the benchmark's ``pipeline`` workload."""
+    sys.path.insert(0, str(ROOT / "perfbench"))
+    try:
+        from workloads import Pipeline, mixed_programs
+    finally:
+        sys.path.remove(str(ROOT / "perfbench"))
+    units = [
+        SourceUnit.from_text(f"synth_{i:05d}.mpy", body)
+        for i, (_, body) in enumerate(mixed_programs(Pipeline.UNITS, 101))
+    ]
+    kept, prov = ingest_units(units)
+    return build_dataset(kept, seed=101, test_fraction=0.4, provenance=prov)
+
+
+@pytest.mark.parametrize("corpus", ["synth_300_5", "pipeline_101"])
+def test_manifest_derives_every_sample_bit_for_bit(corpus):
+    # the manifest keeps no flat vector, split node or copy
+    _assert_derived_again(synth_corpus(300, 5) if corpus == "synth_300_5" else _pipeline_corpus())
 
 
 def test_labeled_split_after_an_earlier_return_is_left_out():
@@ -448,10 +485,7 @@ def test_labeled_split_after_an_earlier_return_is_left_out():
 
 def test_manifest_rejects_malformed_documents(small_dataset):
     base = dataset_to_doc(small_dataset)
-    positive = next(i for i, s in enumerate(base["samples"]) if s.get("split_node"))
-    negative = next(i for i, s in enumerate(base["samples"]) if s["label"] == 0)
-    copy_at = next(i for i, s in enumerate(base["samples"]) if "parent" in s)
-    other_copy = next(i for i, s in enumerate(base["samples"]) if "parent" in s and i != copy_at)
+    positive = next(i for i, s in enumerate(base["samples"]) if s["label"] == 1)
 
     def corrupt(mutate, where=None):
         doc = copy.deepcopy(base)
@@ -464,15 +498,19 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d.update(extra=1))
     corrupt(lambda d: d.update(version="0"))
     corrupt(lambda d: d.update(version="4"))
+    corrupt(lambda d: d.update(version="5"))
     corrupt(lambda d: d.update(seed="x"))
     corrupt(lambda d: d.update(provenance={"ingested": -1}))
     corrupt(lambda d: d.update(provenance={"bogus": 1}))
     corrupt(lambda d: d.update(samples={}))
     corrupt(lambda d: d["samples"][0].update(label=2), 0)
     corrupt(lambda d: d["samples"][0].update(label=float(d["samples"][0]["label"])), 0)
-    corrupt(lambda d: d["samples"][0].update(flat=[1.0, 2.0]), 0)
     corrupt(lambda d: d["samples"][0].update(mystery=True), 0)
-    corrupt(lambda d: d["samples"][0].pop("flat"), 0)
+    corrupt(lambda d: d["samples"][0].pop("label"), 0)
+    corrupt(lambda d: d["samples"][0].pop("source"), 0)
+    corrupt(lambda d: d["samples"][0].update(path=7), 0)
+    corrupt(lambda d: d["samples"].__setitem__(0, [1]), 0)
+    corrupt(lambda d: d.update(samples=[]))
     corrupt(lambda d: d.update(split={"train": [0]}))
     corrupt(lambda d: d["split"]["train"].append(0))  # overlap/cover violation
     corrupt(lambda d: d["split"]["train"].append(d["split"]["train"][0]))  # listed twice
@@ -481,35 +519,32 @@ def test_manifest_rejects_malformed_documents(small_dataset):
     corrupt(lambda d: d["split"]["train"].__setitem__(0, "x"))
     corrupt(lambda d: d["split"]["train"].__setitem__(0, d["split"]["train"][0] + 0.5))
     corrupt(lambda d: d["split"]["train"].__setitem__(0, True))
-    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, "x"), 0)
-    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, True), 0)
-    corrupt(lambda d: d["samples"][0]["flat"].__setitem__(0, float("nan")), 0)
-    # a split node must be a legal split point of the sample's own source:
-    # out of range, not an integer, or a node no tail may start at (the
-    # FunctionDef, id 1)
-    for split_node in (10**6, -1, True, 1.5, 1):
-        corrupt(lambda d: d["samples"][positive].update(split_node=split_node), positive)
-    # version 5 stores no graph: the old v4 encoding is an unknown field, on
-    # a sample with source and on a copy alike
+    # version 6 derives flat features, split nodes and copies: each field a
+    # version-5 sample or copy carried is an unknown one, legal value or not
+    v5_fields = {
+        "flat": [1.0] * FLAT_DIM,
+        "split_node": small_dataset.samples[positive].split_node,
+        "parent": positive,
+        "neighbor": positive,
+        "u": 0.5,
+    }
+    for key, value in v5_fields.items():
+        corrupt(lambda d: d["samples"][positive].update({key: value}), positive)
+    # version 5 stores no graph either: the old v4 encoding is an unknown field
     graph_doc = emit_graph_doc(small_dataset.samples[0].graph)
     corrupt(lambda d: d["samples"][0].update(graph=graph_doc), 0)
-    corrupt(lambda d: d["samples"][copy_at].update(graph=graph_doc), copy_at)
     # a source that does not parse
     corrupt(lambda d: d["samples"][0].update(source="def broken(:\n"), 0)
     corrupt(lambda d: d["samples"][0].update(source=7), 0)
-    # a recipe names two samples with source, of the copy's own label
-    for key in ("parent", "neighbor"):
-        for bad in (True, -1, len(base["samples"]), 1.0, "0", other_copy, negative):
-            corrupt(lambda d: d["samples"][copy_at].update({key: bad}), copy_at)
-    # u is a number in [0, 1)
-    for u in (float("nan"), -0.1, 1.0, 1.5, float("inf"), True, "0.5", None):
-        corrupt(lambda d: d["samples"][copy_at].update(u=u), copy_at)
-    # a copy carries its recipe and label only; a sample with source no recipe
-    corrupt(lambda d: d["samples"][copy_at].update(source=PLAIN_SRC), copy_at)
-    corrupt(lambda d: d["samples"][copy_at].update(flat=base["samples"][0]["flat"]), copy_at)
-    corrupt(lambda d: d["samples"][copy_at].update(split_node=1), copy_at)
-    corrupt(lambda d: d["samples"][copy_at].pop("u"), copy_at)
-    corrupt(lambda d: d["samples"][0].update(parent=0), 0)
+    # a stored label must be the one its source gives
+    corrupt(lambda d: d["samples"][positive].update(label=0), positive)
+    corrupt(lambda d: d["samples"][positive].update(source=PLAIN_SRC), positive)
+    # the oversampled count must be the number of copies the samples make
+    for off in (-1, 1):
+        corrupt(lambda d: d["provenance"].update(oversampled=d["provenance"]["oversampled"] + off))
+    for name in Provenance().to_doc():
+        corrupt(lambda d: d["provenance"].pop(name))
+    corrupt(lambda d: d.pop("provenance"))
 
 
 # --- manifest robustness ----------------------------------------------------------
@@ -528,12 +563,12 @@ CHAIN_SRC = (
 def _tiny_manifest_json() -> str:
     kept, prov = ingest_units(generate_units(12, 3))
     doc = dataset_to_doc(build_dataset(kept, seed=3, provenance=prov))
-    assert sum("parent" in s for s in doc["samples"]) == 3
+    assert (len(doc["samples"]), doc["provenance"]["oversampled"]) == (12, 3)
     return json.dumps(doc)
 
 
 def tiny_manifest() -> dict:
-    """A fresh copy of a 15-sample v5 manifest with 3 oversampled copies."""
+    """A fresh copy of a v6 manifest of 12 samples, from which 3 copies derive."""
     return json.loads(_tiny_manifest_json())
 
 
@@ -553,7 +588,6 @@ _SAMPLE_KEYS = ("source", "path", "flat", "label", "split_node", "parent", "neig
 _MUTATIONS = st.one_of(
     st.tuples(st.just("set"), st.integers(0, 99), st.sampled_from(_SAMPLE_KEYS), _POSERS),
     st.tuples(st.just("drop"), st.integers(0, 99), st.sampled_from(_SAMPLE_KEYS)),
-    st.tuples(st.just("flat"), st.integers(0, 99), st.integers(0, 34), _POSERS),
     st.tuples(st.just("chain"), st.integers(0, 99)),
     st.tuples(
         st.just("set"),
@@ -591,7 +625,7 @@ def _mutate(doc: dict, mutation: tuple) -> None:
             entries[args[1]] = args[2]
         else:
             entries.append(args[2])
-    elif op in ("set", "drop", "flat", "chain", "sample") and samples:
+    elif op in ("set", "drop", "chain", "sample") and samples:
         i = args[0] % len(samples)
         sample = samples[i]
         if op == "sample":
@@ -602,11 +636,8 @@ def _mutate(doc: dict, mutation: tuple) -> None:
             sample[args[1]] = args[2]
         elif op == "drop":
             sample.pop(args[1], None)
-        elif op == "flat" and isinstance(sample.get("flat"), list) and sample["flat"]:
-            sample["flat"][args[1] % len(sample["flat"])] = args[2]
         elif op == "chain":
             sample["source"] = CHAIN_SRC
-            sample.pop("split_node", None)
 
 
 @settings(max_examples=300, deadline=None)
@@ -630,8 +661,10 @@ def test_manifest_loader_fails_only_at_load_with_its_own_errors(mutations):
 
 def test_manifest_with_a_3000_term_chain_loads_and_builds_its_graph():
     doc = tiny_manifest()
-    _mutate(doc, ("chain", 0))
-    sample = dataset_from_doc(doc).samples[0]
+    # the chain's loop holds no decision: it keeps a negative sample's label
+    i = next(i for i, s in enumerate(doc["samples"]) if s["label"] == 0)
+    _mutate(doc, ("chain", i))
+    sample = dataset_from_doc(doc).samples[i]
     assert sample.source == CHAIN_SRC
     direct = build_graph(parse_source(CHAIN_SRC))
     assert emit_graph_doc(sample.graph) == emit_graph_doc(direct)
@@ -641,7 +674,6 @@ def test_manifest_rejects_post_metrics_without_split(small_dataset):
     # version 2 dropped post_metrics; the old key is an unknown field
     doc = copy.deepcopy(dataset_to_doc(small_dataset))
     target = doc["samples"][0]
-    target.pop("split_node", None)
     target["post_metrics"] = {"cyclomatic": 1.0, "coupling": 0.0}
     with pytest.raises(SchemaError):
         dataset_from_doc(doc)
@@ -650,4 +682,6 @@ def test_manifest_rejects_post_metrics_without_split(small_dataset):
 def test_provenance_doc_round_trip():
     prov = Provenance(ingested=9, parse_failed=2, deduped=1, trivial_dropped=3, oversampled=4)
     assert Provenance.from_doc(prov.to_doc()).to_doc() == prov.to_doc()
-    assert Provenance.from_doc({}).to_doc()["ingested"] == 0
+    # every count is read, none defaulted: a missing one is a schema error
+    with pytest.raises(SchemaError):
+        Provenance.from_doc({})

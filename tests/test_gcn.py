@@ -655,15 +655,6 @@ def test_checkpoint_round_trip(small_dataset):
     assert predict_graphs(back, graphs).tolist() == predict_graphs(fitted, graphs).tolist()
 
 
-def test_checkpoint_defaults_identity_standardization():
-    doc = gcn_to_doc(init_model(1, SMALL_CFG))
-    doc.pop("feature_mu")
-    doc.pop("feature_sigma")
-    model = gcn_from_doc(doc)
-    assert np.all(model.feature_mu == 0.0)
-    assert np.all(model.feature_sigma == 1.0)
-
-
 def _values(text: str) -> np.ndarray:
     """The float64 values a checkpoint string holds, decoded here on its own."""
     return np.frombuffer(base64.b64decode(text), dtype="<f8").copy()
@@ -715,6 +706,9 @@ def test_checkpoint_rejects_corruption():
     corrupt(lambda d: w(d).update(W1="x"))
     corrupt(lambda d: d.update(feature_mu="x"))
     corrupt(lambda d: d.update(feature_sigma="x"))
+    # standardization is part of every checkpoint, never defaulted
+    corrupt(lambda d: d.pop("feature_mu"), "needs feature_mu")
+    corrupt(lambda d: d.pop("feature_sigma"), "needs feature_sigma")
     corrupt(lambda d: d.update(weights=[1]))
     corrupt(lambda d: w(d).update(W9=_b64([1.0])))
     # a version-1 checkpoint still carrying the dropped normalization flag
